@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import SolverError
 from .forward_sim import (InitialLaw, NoiseBundle, OpenLoopControl, ParticleEnsemble, TimeGrid,
-                          simulate_forward)
+                          particle_array, simulate_forward, time_major)
 from .measures import MeasureFlow
 from .model import ModelSpec, _f1x_values, _gx_values, minimize_hamiltonian_values
 
@@ -175,9 +175,9 @@ def _backward_pass(spec: ModelSpec, states: np.ndarray, controls: np.ndarray,
     if gate_plan is None:
         gate_plan = {}
 
-    p = np.empty((m, k, span + 1))
-    q = np.empty((m, k, span))
-    qt = np.empty((m, k, span))
+    p = particle_array(m, k, span + 1)
+    q = particle_array(m, k, span)
+    qt = particle_array(m, k, span)
     p[:, :, span] = terminal_values
 
     eye3 = np.eye(3)
@@ -337,7 +337,9 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: TerminalConditio
             raise SolverError("need an initial law or explicit initial states")
         init_states = noise.initial_states(xi0)
     horizon = span * grid.dt
-    u = np.zeros((noise.n_paths, noise.n_particles, span)) if u0 is None else u0.copy()
+    # the iteration never writes into u, so a time-major u0 is used without a copy
+    u = particle_array(noise.n_paths, noise.n_particles, span, zeros=True) if u0 is None \
+        else time_major(u0)
     inputs = inputs or {}
     sim_inputs = {key: inputs[key] for key in ("b", "sigma", "sigma_tilde") if key in inputs}
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bsde import control_rms, solution_norm, solve_fbsde_frozen_flow, terminal_from_cost
 from .errors import CnmfgError, ConfigError, SolverError
-from .forward_sim import NoiseBundle, OpenLoopControl, TimeGrid, simulate_forward
+from .forward_sim import NoiseBundle, OpenLoopControl, TimeGrid, particle_array, simulate_forward
 from .lq_oracle import lq_cost_oracle, oracle_solution, solve_riccati
 from .measures import constant_flow, MeasureFlow
 from .model import (cost_functional, get_preset, sufficient_condition_report, validate_assumptions)
@@ -80,7 +80,8 @@ def _frozen_flow(cfg: RunConfig, preset, noise, xi0):
         return constant_flow(float(cfg.frozen_flow.get("value", 0.0)), noise.grid, cfg.n_common)
     # zero_control: the conditional particle flow under the null control
     m, k, n = cfg.n_common, cfg.n_particles, cfg.n_steps
-    ens = simulate_forward(preset.spec, OpenLoopControl(np.zeros((m, k, n))), noise, xi0)
+    ens = simulate_forward(preset.spec, OpenLoopControl(particle_array(m, k, n, zeros=True)),
+                           noise, xi0)
     return MeasureFlow(atoms=ens.states, grid=noise.grid)
 
 

@@ -2,7 +2,12 @@
 
 The particle layout is states[j, k, n]: common path j (all particles with the
 same j share one realization of the common noise), particle k within the path,
-grid node n.  The conditional law of the state given the common noise is
+grid node n.  Every (paths x particles x steps) array is stored time-major, as
+memory (n, j, k), and the [j, k, n] index order is a transposed view of it:
+the solvers read and write one grid node at a time, and every per-node slice
+a[:, :, n] is a C-contiguous (paths, particles) block.  Allocate such arrays
+with ``particle_array``; ``time_major`` brings arrays from elsewhere into this
+layout.  The conditional law of the state given the common noise is
 approximated by the empirical law over the K particles of each path, which
 makes the conditional McKean-Vlasov fixed point exact at the particle level:
 simulating forward with coefficients read off the current per-path empirical
@@ -11,13 +16,14 @@ law is self-consistent by construction.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import SimulationError
-from .measures import MeasureFlow
+from .measures import MeasureFlow, particle_array, time_major
 from .model import ModelSpec
 
 # Philox counter offsets: one block per (channel, common path); blocks are far
@@ -85,7 +91,8 @@ class NoiseBundle:
     Increments are regenerated deterministically from (seed, n_paths,
     n_particles, grid); they are never persisted.  Generation is keyed per
     (channel, path) block of a counter-based stream, so parallel generation by
-    path reproduces the serial result bit for bit.
+    path reproduces the serial result bit for bit.  ``dW[j, k, n]`` is stored
+    time-major; ``from_arrays`` builds a bundle around given increments.
     """
 
     seed: int
@@ -94,17 +101,42 @@ class NoiseBundle:
     grid: TimeGrid
     dW: np.ndarray = field(init=False, repr=False)
     dW_common: np.ndarray = field(init=False, repr=False)
+    given: bool = field(init=False, default=False, repr=False)
 
     def __post_init__(self):
         m, k, n = self.n_paths, self.n_particles, self.grid.n_steps
         root = np.sqrt(self.grid.dt)
-        dw = np.empty((m, k, n))
+        dw = particle_array(m, k, n)
         dwc = np.empty((m, n))
         for j in range(m):
-            dw[j] = _block_rng(self.seed, _CH_IDIOSYNCRATIC, j).standard_normal((k, n)) * root
+            # the draws keep their (k, n) order; writing through the transposes
+            # stores whole contiguous rows of the time-major block
+            draws = _block_rng(self.seed, _CH_IDIOSYNCRATIC, j).standard_normal((k, n))
+            np.multiply(draws.T, root, out=dw[j].T)
             dwc[j] = _block_rng(self.seed, _CH_COMMON, j).standard_normal(n) * root
         self.dW = dw
         self.dW_common = dwc
+
+    @classmethod
+    def from_arrays(cls, seed: int, grid: TimeGrid, dW: np.ndarray,
+                    dW_common: np.ndarray) -> "NoiseBundle":
+        """Bundle holding the given increments dW[j, k, n] and dW_common[j, n].
+
+        ``dW`` is stored time-major (copied only if it is not already); ``seed``
+        keys the initial-state draws.  ``meta()`` marks the increments as given
+        and carries their digest, so it describes the noise the bundle holds.
+        """
+        dW = time_major(dW)
+        dW_common = np.asarray(dW_common, dtype=float)
+        m, k, n = dW.shape
+        if dW_common.shape != (m, n) or n != grid.n_steps:
+            raise SimulationError(
+                f"increments {dW.shape} and {dW_common.shape} do not match a "
+                f"{grid.n_steps}-step grid")
+        bundle = cls.__new__(cls)
+        bundle.seed, bundle.n_paths, bundle.n_particles, bundle.grid = seed, m, k, grid
+        bundle.dW, bundle.dW_common, bundle.given = dW, dW_common, True
+        return bundle
 
     def initial_states(self, law: InitialLaw) -> np.ndarray:
         m, k = self.n_paths, self.n_particles
@@ -121,9 +153,14 @@ class NoiseBundle:
         return out
 
     def meta(self) -> dict:
-        return {"seed": self.seed, "n_paths": self.n_paths,
+        meta = {"seed": self.seed, "n_paths": self.n_paths,
                 "n_particles": self.n_particles, "n_steps": self.grid.n_steps,
                 "horizon": self.grid.horizon}
+        if self.given:
+            digest = hashlib.sha256(self.dW.transpose(2, 0, 1).tobytes())
+            digest.update(np.ascontiguousarray(self.dW_common).tobytes())
+            meta.update(increments="given", digest=digest.hexdigest()[:16])
+        return meta
 
 
 @dataclass
@@ -222,8 +259,8 @@ def simulate_forward(spec: ModelSpec, rule: ControlRule, noise: NoiseBundle,
 
     nodes = grid.nodes
     dt = grid.dt
-    states = np.empty((m, k, span + 1))
-    controls = np.empty((m, k, span))
+    states = particle_array(m, k, span + 1)
+    controls = particle_array(m, k, span)
     states[:, :, 0] = init_states
     inputs = inputs or {}
     in_b = inputs.get("b")

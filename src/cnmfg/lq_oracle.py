@@ -23,7 +23,7 @@ import numpy as np
 
 from .bsde import SolutionBundle
 from .errors import ModelError, SolverError
-from .forward_sim import InitialLaw, NoiseBundle, TimeGrid
+from .forward_sim import InitialLaw, NoiseBundle, TimeGrid, particle_array
 from .measures import MeasureFlow
 
 _BLOWUP = 1e8
@@ -226,11 +226,11 @@ def oracle_solution(params: LQParameters, noise: NoiseBundle, xi0: InitialLaw,
     rs = riccati or solve_riccati(params, grid)
     m, k, n = noise.n_paths, noise.n_particles, grid.n_steps
     dt = grid.dt
-    states = np.empty((m, k, n + 1))
-    controls = np.empty((m, k, n))
-    p = np.empty((m, k, n + 1))
-    q = np.empty((m, k, n))
-    qt = np.empty((m, k, n))
+    states = particle_array(m, k, n + 1)
+    controls = particle_array(m, k, n)
+    p = particle_array(m, k, n + 1)
+    q = particle_array(m, k, n)
+    qt = particle_array(m, k, n)
     states[:, :, 0] = noise.initial_states(xi0)
 
     for i in range(n + 1):

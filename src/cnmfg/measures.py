@@ -24,6 +24,24 @@ if TYPE_CHECKING:
 _MAX_REFINED_ATOMS = 10_000_000
 
 
+def particle_array(n_paths: int, n_atoms: int, n_nodes: int, *, zeros: bool = False) -> np.ndarray:
+    """A (path, atom, node) array stored time-major, as memory (node, path, atom).
+
+    Every per-node slice ``a[:, :, n]`` is then a C-contiguous (path, atom)
+    block; indexing stays ``[j, k, n]``.
+    """
+    alloc = np.zeros if zeros else np.empty
+    return alloc((n_nodes, n_paths, n_atoms)).transpose(1, 2, 0)
+
+
+def time_major(a) -> np.ndarray:
+    """``a`` as a float (path, atom, node) array stored time-major; no copy if it already is."""
+    a = np.asarray(a, dtype=float)
+    if a.transpose(2, 0, 1).flags.c_contiguous:
+        return a
+    return np.ascontiguousarray(a.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
 @dataclass(frozen=True)
 class EmpiricalMeasure:
     """Equal-weight empirical measure (1/n) * sum_i delta_{x_i} on the real line."""
@@ -121,8 +139,9 @@ class MeasureFlow:
     """Per-node, per-common-path empirical measures backed by one atom array.
 
     ``atoms[j, :, n]`` holds the atoms of the measure for common path j at grid
-    node n.  The atom count per measure is uniform but may differ from the
-    particle count of an ensemble the flow is compared against.
+    node n; the array is stored time-major (see ``particle_array``).  The atom
+    count per measure is uniform but may differ from the particle count of an
+    ensemble the flow is compared against.
     """
 
     atoms: np.ndarray
@@ -138,7 +157,7 @@ class MeasureFlow:
             raise MeasureError(
                 f"flow has {atoms.shape[2]} nodes but grid has {self.grid.n_steps + 1}"
             )
-        self.atoms = atoms
+        self.atoms = time_major(atoms)
 
     @property
     def n_paths(self) -> int:

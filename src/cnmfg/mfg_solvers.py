@@ -32,7 +32,8 @@ import numpy as np
 from .bsde import (SolutionBundle, TerminalCondition, control_rms, first_order_residual,
                    picard_solve, solution_distance, terminal_from_cost)
 from .errors import SolverError
-from .forward_sim import InitialLaw, NoiseBundle, OpenLoopControl, simulate_forward
+from .forward_sim import (InitialLaw, NoiseBundle, OpenLoopControl, particle_array,
+                          simulate_forward, time_major)
 from .measures import MeasureFlow
 from .model import ModelSpec, _f1x_values, _gx_values
 
@@ -43,9 +44,10 @@ _TOL_MONO_FIELD = 1e-6
 class InputPerturbation:
     """Exogenous square-integrable perturbations injected into the dynamics.
 
-    Tables are indexed [path, particle, step]; ``g`` perturbs the terminal
-    condition.  ``norm`` is the input norm: terminal mean square plus the
-    time integral of the squared running perturbations, square-rooted.
+    Tables are indexed [path, particle, step] and stored time-major; ``g``
+    perturbs the terminal condition.  ``norm`` is the input norm: terminal mean
+    square plus the time integral of the squared running perturbations,
+    square-rooted.
     """
 
     b: np.ndarray
@@ -55,11 +57,17 @@ class InputPerturbation:
     g: np.ndarray
     dt: float
 
+    def __post_init__(self):
+        self.b, self.sigma, self.sigma_tilde, self.f = (
+            time_major(a) for a in (self.b, self.sigma, self.sigma_tilde, self.f))
+
     @classmethod
     def zero(cls, n_paths: int, n_particles: int, n_steps: int, dt: float) -> "InputPerturbation":
-        shape = (n_paths, n_particles, n_steps)
-        return cls(b=np.zeros(shape), sigma=np.zeros(shape), sigma_tilde=np.zeros(shape),
-                   f=np.zeros(shape), g=np.zeros((n_paths, n_particles)), dt=dt)
+        def table():
+            return particle_array(n_paths, n_particles, n_steps, zeros=True)
+
+        return cls(b=table(), sigma=table(), sigma_tilde=table(), f=table(),
+                   g=np.zeros((n_paths, n_particles)), dt=dt)
 
     @property
     def norm(self) -> float:
@@ -98,11 +106,7 @@ def _coefficient_inputs(spec: ModelSpec, bundle: SolutionBundle, eta: float,
     states, controls, flow = bundle.states, bundle.controls, bundle.flow
     n_steps = controls.shape[2]
     nodes = bundle.grid.nodes
-    shape = controls.shape
-    out_b = np.empty(shape)
-    out_s = np.empty(shape)
-    out_st = np.empty(shape)
-    out_f = np.empty(shape)
+    out_b, out_s, out_st, out_f = (particle_array(*controls.shape) for _ in range(4))
     means_all = flow.means
     sqms_all = flow.second_moments
     for n in range(n_steps):
@@ -310,7 +314,7 @@ def _interval_fixed_point(spec, u_start, n_lo, n_hi, init_states, terminal, nois
                           tol, inner_tol, max_fp_iter):
     dt = noise.grid.dt
     horizon = (n_hi - n_lo) * dt
-    u = u_start.copy()
+    u = u_start
     distances: list[float] = []
     bundle = None
     for _ in range(max_fp_iter):
@@ -381,7 +385,9 @@ def _run_stitch(spec, xi0, noise, bounds, tol, inner_tol, max_fp_iter, global_pa
     n = grid.n_steps
     m, k = noise.n_paths, noise.n_particles
     n_int = len(bounds) - 1
-    u_full = np.zeros((m, k, n)) if u0 is None else u0.copy()
+    u_full = particle_array(m, k, n, zeros=True)
+    if u0 is not None:
+        u_full[...] = u0
     terminal_cost = terminal_from_cost(spec)
     report = StitchReport(boundaries=list(grid.nodes[bounds]), fields=[], interval_ratios=[],
                           interval_iterations=[], halvings=halving, passes=0)
@@ -420,11 +426,11 @@ def _run_stitch(spec, xi0, noise, bounds, tol, inner_tol, max_fp_iter, global_pa
                 fields[r - 1] = fld.as_terminal()
 
         # forward pass: re-solve from achieved states, concatenate
-        states = np.empty((m, k, n + 1))
-        controls = np.empty((m, k, n))
-        p = np.empty((m, k, n + 1))
-        q = np.empty((m, k, n))
-        qt = np.empty((m, k, n))
+        states = particle_array(m, k, n + 1)
+        controls = particle_array(m, k, n)
+        p = particle_array(m, k, n + 1)
+        q = particle_array(m, k, n)
+        qt = particle_array(m, k, n)
         current = init_full
         for r in range(1, n_int + 1):
             lo, hi = bounds[r - 1], bounds[r]
@@ -462,7 +468,7 @@ def _run_stitch(spec, xi0, noise, bounds, tol, inner_tol, max_fp_iter, global_pa
             change = control_rms(controls - prev_controls, grid.dt, grid.horizon)
             if change <= tol:
                 break
-        prev_controls = controls.copy()
+        prev_controls = controls
 
     return final, report
 

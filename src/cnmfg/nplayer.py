@@ -194,14 +194,16 @@ def nash_gap(spec: ModelSpec, strategy: FeedbackStrategy, n_players: int, grid: 
             for r in range(n_replicas)]
     frozen = MeasureFlow(atoms=np.stack([run.states for run in runs]), grid=grid)
 
-    dev_noise = NoiseBundle(seed=seed + 10_000_019, n_paths=n_replicas, n_particles=n_copies,
-                            grid=grid)
-    dev_noise.dW_common = np.concatenate([run.noise.dW_common for run in runs], axis=0)
-    # copy 0 of every replica is that replica's player 1
-    init_states = dev_noise.initial_states(xi0)
+    # fresh copy noise under each replica's common noise; copy 0 of every
+    # replica is that replica's player 1
+    dev_seed = seed + 10_000_019
+    seeded = NoiseBundle(seed=dev_seed, n_paths=n_replicas, n_particles=n_copies, grid=grid)
+    dW, init_states = seeded.dW, seeded.initial_states(xi0)
     for r, run in enumerate(runs):
-        dev_noise.dW[r, 0] = run.noise.dW[0, 0]
+        dW[r, 0] = run.noise.dW[0, 0]
         init_states[r, 0] = run.states[0, 0]
+    dev_noise = NoiseBundle.from_arrays(
+        dev_seed, grid, dW, np.concatenate([run.noise.dW_common for run in runs], axis=0))
 
     base_rule = strategy.control_rule()
     if mean_source == "limit":
@@ -266,10 +268,10 @@ def population_cost_convergence(spec: ModelSpec, strategy: FeedbackStrategy, n_p
     for seed in seeds:
         run = simulate_nplayer(spec, strategy, n_players, grid, xi0, int(seed),
                                mean_source="limit")
-        big = NoiseBundle(seed=int(seed) + 50_000_017, n_paths=1,
-                          n_particles=proxy_particles, grid=grid)
-        big.dW_common = run.noise.dW_common.copy()
-        big.dW[0, :n_players] = run.noise.dW[0]
+        big_seed = int(seed) + 50_000_017
+        dW = NoiseBundle(seed=big_seed, n_paths=1, n_particles=proxy_particles, grid=grid).dW
+        dW[0, :n_players] = run.noise.dW[0]
+        big = NoiseBundle.from_arrays(big_seed, grid, dW, run.noise.dW_common)
         init = big.initial_states(xi0)
         init[0, :n_players] = run.states[:, 0]
         lm = run.limit_means

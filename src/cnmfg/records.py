@@ -173,7 +173,10 @@ class RunConfig:
         return InitialLaw(kind=kind, mu=float(law.get("mu", 0.0)), std=float(law.get("std", 1.0)))
 
     def config_hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True)
+        """Hash of what is computed; where the artifacts go is not part of it."""
+        payload = self.to_dict()
+        del payload["output_dir"]
+        canon = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 

@@ -53,3 +53,11 @@ def simple_spec(*, b0=0.0, b1=0.0, b2=0.0, s0=0.0, st0=0.0, cu=1.0, cx=0.0,
         L_m=0.0,
         terminal_lipschitz=1.0,
     )
+
+
+def assert_steps_contiguous(*arrays):
+    """Every per-step slice a[:, :, n] of each (path, particle, step) array is C-contiguous."""
+    for a in arrays:
+        assert a.ndim == 3
+        for n in range(a.shape[2]):
+            assert a[:, :, n].flags.c_contiguous, f"step {n} of a {a.shape} array is strided"

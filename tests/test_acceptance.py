@@ -20,6 +20,8 @@ from cnmfg.model import (SHIPPED_PRESETS, get_preset, minimize_hamiltonian,
 from cnmfg.mfg_solvers import solve_continuation, solve_scaled_fbsde, solve_stitched, uniqueness_check
 from cnmfg.nplayer import FeedbackStrategy, gap_versus_n
 
+pytestmark = pytest.mark.acceptance
+
 SEED = 11
 GRID = TimeGrid(1.0, 100)
 XI0 = InitialLaw(kind="normal", mu=1.0, std=0.5)

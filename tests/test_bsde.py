@@ -13,7 +13,9 @@ from cnmfg.measures import MeasureFlow, constant_flow
 from cnmfg.lq_oracle import oracle_solution
 from cnmfg.model import get_preset
 
-from helpers import simple_spec
+from cnmfg.mfg_solvers import solve_stitched
+
+from helpers import assert_steps_contiguous, simple_spec
 
 
 def _ensemble(spec, noise, xi0, controls=None):
@@ -199,3 +201,32 @@ def test_check_terminal_diagnostics():
 def test_control_rms_unit():
     u = np.ones((2, 3, 10))
     assert control_rms(u, 0.1, 1.0) == pytest.approx(1.0)
+
+
+def _bundle_arrays(bundle):
+    return (bundle.states, bundle.controls, bundle.p, bundle.q, bundle.q_tilde, bundle.flow.atoms)
+
+
+def test_solution_arrays_are_stored_time_major():
+    preset = get_preset("lq")
+    xi0 = InitialLaw(kind="normal", mu=1.0, std=0.5)
+    grid = TimeGrid(1.0, 10)
+    noise = NoiseBundle(seed=14, n_paths=8, n_particles=32, grid=grid)
+    terminal = terminal_from_cost(preset.spec)
+
+    oracle = oracle_solution(preset.lq_params, noise, xi0)
+    assert_steps_contiguous(*_bundle_arrays(oracle))
+    bundle = picard_solve(preset.spec, noise, terminal, xi0=xi0, tol=2e-3)
+    assert_steps_contiguous(*_bundle_arrays(bundle))
+    stitched, _ = solve_stitched(preset.spec, xi0, noise, tol=2e-3)
+    assert_steps_contiguous(*_bundle_arrays(stitched))
+
+    # a C-ordered start (as a resumed run loads it) gives the same controls,
+    # bit for bit, as the same start stored time-major
+    start = np.ascontiguousarray(oracle.controls)
+    from_c = picard_solve(preset.spec, noise, terminal, xi0=xi0, u0=start, tol=2e-3)
+    from_tm = picard_solve(preset.spec, noise, terminal, xi0=xi0, u0=oracle.controls, tol=2e-3)
+    assert_steps_contiguous(*_bundle_arrays(from_c))
+    assert np.array_equal(from_c.controls, from_tm.controls)
+    assert from_c.residual_history == from_tm.residual_history
+    assert np.array_equal(start, oracle.controls)      # the caller's start is not written

@@ -6,10 +6,10 @@ import pytest
 from cnmfg.errors import SimulationError
 from cnmfg.forward_sim import (FeedbackControl, InitialLaw, NoiseBundle, OpenLoopControl,
                                TimeGrid, ensemble_statistics, simulate_forward)
-from cnmfg.measures import constant_flow
+from cnmfg.measures import MeasureFlow, constant_flow
 from cnmfg.model import get_preset
 
-from helpers import simple_spec
+from helpers import assert_steps_contiguous, simple_spec
 
 
 def test_grid_basics():
@@ -185,3 +185,45 @@ def test_subinterval_simulation():
     assert ens.grid.t0 == pytest.approx(0.3)
     assert ens.states.shape == (2, 2, 5)
     assert np.allclose(ens.states[:, :, -1], 0.5 + 0.4, atol=1e-12)
+
+
+def test_particle_arrays_are_stored_time_major():
+    grid = TimeGrid(1.0, 12)
+    spec = get_preset("lq_drift_coupled").spec
+    noise = NoiseBundle(seed=12, n_paths=3, n_particles=8, grid=grid)
+    # a C-ordered control table is accepted as is
+    ens = simulate_forward(spec, OpenLoopControl(np.full((3, 8, 12), 0.1)), noise,
+                           InitialLaw(kind="normal", mu=1.0, std=0.5))
+    assert ens.states.shape == (3, 8, 13) and ens.controls.shape == (3, 8, 12)
+    assert_steps_contiguous(noise.dW, ens.states, ens.controls, ens.flow.atoms)
+
+    # flows built from C-ordered atoms are brought into the layout, values unchanged
+    stacked = np.ascontiguousarray(ens.states)
+    flow = MeasureFlow(atoms=stacked, grid=grid)
+    assert_steps_contiguous(flow.atoms, constant_flow(0.5, grid, 3).atoms)
+    assert np.array_equal(flow.atoms, stacked)
+    assert np.array_equal(flow.means, ens.flow.means)
+
+
+def test_noise_bundle_from_arrays():
+    grid = TimeGrid(1.0, 10)
+    seeded = NoiseBundle(seed=13, n_paths=4, n_particles=6, grid=grid)
+    dW = np.ascontiguousarray(seeded.dW)        # C-ordered (j, k, n) input
+    dW[:, 0] = 0.0
+    dwc = seeded.dW_common[::-1].copy()
+    given = NoiseBundle.from_arrays(13, grid, dW, dwc)
+    assert_steps_contiguous(given.dW)
+    assert np.array_equal(given.dW, dW) and np.array_equal(given.dW_common, dwc)
+    assert (given.n_paths, given.n_particles) == (4, 6)
+    # initial draws stay keyed by the seed
+    law = InitialLaw(kind="normal", mu=0.0, std=1.0)
+    assert np.array_equal(given.initial_states(law), seeded.initial_states(law))
+
+    # meta describes the increments held, not the seed's draws
+    meta = given.meta()
+    assert meta["increments"] == "given"
+    assert "increments" not in seeded.meta()
+    assert meta["digest"] == NoiseBundle.from_arrays(13, grid, dW, dwc).meta()["digest"]
+    assert meta["digest"] != NoiseBundle.from_arrays(13, grid, seeded.dW, dwc).meta()["digest"]
+    with pytest.raises(SimulationError):
+        NoiseBundle.from_arrays(13, grid, dW, dwc[:, :5])
