@@ -10,14 +10,14 @@ finite-player game.
 __version__ = "0.1.0"
 
 from .errors import CnmfgError, ConfigError, MeasureError, ModelError, SimulationError, SolverError
-from .measures import (Coupling, EmpiricalMeasure, MeasureFlow, conditional_law, constant_flow,
-                       pathspace_distance, second_moment, wasserstein2)
+from .measures import (Coupling, EmpiricalMeasure, MeasureFlow, PathLaws, constant_flow,
+                       second_moment, wasserstein2)
 from .model import (ConditionReport, CostSpec, LinearCoefficient, ModelSpec, Preset, SamplerConfig,
                     ValidationReport, cost_functional, get_preset, hamiltonian, hamiltonian_dx,
                     minimize_hamiltonian, minimize_hamiltonian_values, preset_names,
                     sufficient_condition_report, validate_assumptions, SHIPPED_PRESETS)
 from .forward_sim import (FeedbackControl, InitialLaw, NoiseBundle, OpenLoopControl,
-                          ParticleEnsemble, TimeGrid, ensemble_statistics, simulate_forward)
+                          ParticleEnsemble, TimeGrid, simulate_forward)
 from .bsde import (BackwardSolution, SolutionBundle, TerminalCondition, check_terminal,
                    control_rms, first_order_residual, picard_solve, solution_distance,
                    solution_norm, solve_bsde_given_control, solve_fbsde_frozen_flow,

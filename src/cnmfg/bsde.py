@@ -29,14 +29,15 @@ import numpy as np
 from .errors import SolverError
 from .forward_sim import (InitialLaw, NoiseBundle, OpenLoopControl, ParticleEnsemble, TimeGrid,
                           particle_array, simulate_forward, time_major)
-from .measures import MeasureFlow
-from .model import ModelSpec, _f1x_values, _gx_values, minimize_hamiltonian_values
+from .measures import MeasureFlow, PathLaws
+from .model import ModelSpec, hamiltonian_dx, minimize_hamiltonian_values
 
 
 @dataclass
 class TerminalCondition:
-    """Terminal adjoint rule p_T = evaluate(x, conditional-law stats).
+    """Terminal adjoint rule p_T = evaluate(x, m) for a per-path law view m.
 
+    ``m`` is read like a cost's measure argument (``m.mean``, ``m.atoms``).
     ``lipschitz`` is the plain Lipschitz constant in (x, conditional state),
     ``monotone`` asserts nondecreasing dependence on x; both are sampling-level
     contracts checked by ``check_terminal``.
@@ -50,11 +51,7 @@ class TerminalCondition:
 
 def terminal_from_cost(spec: ModelSpec) -> TerminalCondition:
     """Terminal condition read from the terminal-cost gradient."""
-
-    def _eval(x, means, sqms, atoms=None):
-        return _gx_values(spec.cost, x, means, sqms, atoms)
-
-    return TerminalCondition(evaluate=_eval, lipschitz=spec.terminal_lipschitz,
+    return TerminalCondition(evaluate=spec.cost.gx, lipschitz=spec.terminal_lipschitz,
                              monotone=True, label="terminal_cost_gradient")
 
 
@@ -65,9 +62,11 @@ def check_terminal(tc: TerminalCondition, rng: np.random.Generator, *,
     lo, hi = x_range
     xs = rng.uniform(lo, hi, size=(n, 2))
     means = rng.uniform(lo, hi, size=(n, 1))
-    sqms = means ** 2 + rng.uniform(0.0, 4.0, size=(n, 1))
-    v1 = tc.evaluate(xs[:, :1], means, sqms)
-    v2 = tc.evaluate(xs[:, 1:], means, sqms)
+    # two-atom laws with the sampled mean and a variance drawn from [0, 4)
+    spread = np.sqrt(rng.uniform(0.0, 4.0, size=(n, 1)))
+    law = PathLaws(mean=means, atoms=means + spread * np.array([-1.0, 1.0]))
+    v1 = tc.evaluate(xs[:, :1], law)
+    v2 = tc.evaluate(xs[:, 1:], law)
     dx = xs[:, 1:] - xs[:, :1]
     mono_min = float(np.min((v2 - v1) * dx))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -153,12 +152,6 @@ def first_order_residual(spec: ModelSpec, bundle: SolutionBundle) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _flow_stats_at(flow: MeasureFlow, idx: int):
-    means = flow.means[:, idx][:, None]
-    sqms = flow.second_moments[:, idx][:, None]
-    return means, sqms, flow.atoms[:, :, idx]
-
-
 def _backward_pass(spec: ModelSpec, states: np.ndarray, controls: np.ndarray,
                    flow: MeasureFlow, terminal_values: np.ndarray, noise: NoiseBundle,
                    *, gamma: float = 1.0, input_f: np.ndarray | None = None,
@@ -185,7 +178,6 @@ def _backward_pass(spec: ModelSpec, states: np.ndarray, controls: np.ndarray,
     warnings: list[str] = []
     degenerate_steps = 0
 
-    cost = spec.cost
     for step in range(span - 1, -1, -1):
         n = n_lo + step
         t = nodes[n]
@@ -269,11 +261,9 @@ def _backward_pass(spec: ModelSpec, states: np.ndarray, controls: np.ndarray,
 
         cond_exp = fitted - anticipative
 
-        means, sqms, atoms = _flow_stats_at(flow, f_idx)
-        u = controls[:, :, step]
-        rest = gamma * (spec.vol.phi1(t) * q_val + spec.vol_common.phi1(t) * qt_val
-                        + np.asarray(cost.f0x(t, x, u))
-                        + _f1x_values(cost, t, x, means, sqms, atoms))
+        # H_x at p = 0: its b1 * p term is implicit, in the denominator below
+        rest = gamma * hamiltonian_dx(spec, t, x, 0.0, q_val, qt_val, controls[:, :, step],
+                                      flow.at(f_idx))
         if input_f is not None:
             rest = rest + input_f[:, :, step]
         p[:, :, step] = (cond_exp + rest * dt) / (1.0 - gamma * spec.drift.phi1(t) * dt)
@@ -298,8 +288,7 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
     """Backward solve for a given control and frozen measure flow."""
     span = ensemble.states.shape[2] - 1
     idx = span if flow.atoms.shape[2] == span + 1 else n_lo + span
-    means, sqms, atoms = _flow_stats_at(flow, idx)
-    terminal_values = gamma * np.asarray(terminal.evaluate(ensemble.states[:, :, -1], means, sqms, atoms))
+    terminal_values = gamma * np.asarray(terminal.evaluate(ensemble.states[:, :, -1], flow.at(idx)))
     if input_g is not None:
         terminal_values = terminal_values + input_g
     return _backward_pass(spec, ensemble.states, ensemble.controls, flow, terminal_values, noise,

@@ -15,11 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from .bsde import control_rms, solution_norm, solve_fbsde_frozen_flow, terminal_from_cost
-from .errors import CnmfgError, ConfigError, SolverError
+from .errors import CnmfgError, ConfigError, ModelError, SolverError
 from .forward_sim import NoiseBundle, OpenLoopControl, TimeGrid, particle_array, simulate_forward
 from .lq_oracle import lq_cost_oracle, oracle_solution, solve_riccati
 from .measures import constant_flow, MeasureFlow
-from .model import (cost_functional, get_preset, sufficient_condition_report, validate_assumptions)
+from .model import (cost_functional, get_preset, preset_names, sufficient_condition_report,
+                    validate_assumptions)
 from .mfg_solvers import solve_continuation, solve_scaled_fbsde, solve_stitched
 from .nplayer import FeedbackStrategy, gap_versus_n, population_cost_convergence
 from .records import RunConfig, RunWriter, SolverReport, adjoint_rows, ensemble_rows, timer
@@ -37,8 +38,6 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to the JSON run configuration")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument("--out", default=None, help="override the output directory")
-        cmd.add_argument("--threads", type=int, default=1,
-                         help="accepted for interface compatibility; computation is vectorized")
         if name == "solve":
             cmd.add_argument("--resume", action="store_true",
                              help="warm-start from the controls of a previous run in the output directory")
@@ -55,7 +54,11 @@ def _load(args) -> RunConfig:
 
 
 def _setup(cfg: RunConfig):
-    preset = get_preset(cfg.preset, cfg.preset_params)
+    try:
+        preset = get_preset(cfg.preset, cfg.preset_params)
+    except ModelError as err:
+        field = "preset" if cfg.preset not in preset_names() else "preset_params"
+        raise ConfigError(str(err), field=field) from err
     grid = TimeGrid(cfg.horizon, cfg.n_steps)
     noise = NoiseBundle(seed=cfg.seed, n_paths=cfg.n_common, n_particles=cfg.n_particles,
                         grid=grid)

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SimulationError
-from .measures import MeasureFlow, particle_array, time_major
+from .measures import MeasureFlow, PathLaws, particle_array, time_major
 from .model import ModelSpec
 
 # Philox counter offsets: one block per (channel, common path); blocks are far
@@ -200,31 +200,6 @@ class ParticleEnsemble:
         return MeasureFlow(atoms=self.states, grid=self.grid)
 
 
-@dataclass
-class EnsembleStats:
-    cond_mean: np.ndarray    # (n_paths, n_nodes)
-    cond_var: np.ndarray
-    pooled_mean: np.ndarray  # (n_nodes,)
-    pooled_var: np.ndarray
-
-
-def ensemble_statistics(ensemble: ParticleEnsemble) -> EnsembleStats:
-    """Per-(path, node) conditional moments and pooled moments across paths."""
-    s = ensemble.states
-    return EnsembleStats(
-        cond_mean=s.mean(axis=1),
-        cond_var=s.var(axis=1),
-        pooled_mean=s.mean(axis=(0, 1)),
-        pooled_var=s.var(axis=(0, 1)),
-    )
-
-
-def _flow_node_stats(flow: MeasureFlow, n: int):
-    means = flow.means[:, n][:, None]
-    sqms = flow.second_moments[:, n][:, None]
-    return means, sqms, flow.atoms[:, :, n]
-
-
 def simulate_forward(spec: ModelSpec, rule: ControlRule, noise: NoiseBundle,
                      xi0: InitialLaw | None = None, *,
                      init_states: np.ndarray | None = None,
@@ -277,18 +252,16 @@ def simulate_forward(spec: ModelSpec, rule: ControlRule, noise: NoiseBundle,
         x = states[:, :, step]
         if frozen_flow is None:
             with np.errstate(over="ignore"):
-                means = x.mean(axis=1)[:, None]
-                sqms = np.mean(x * x, axis=1)[:, None]
-            atoms = x
+                law = PathLaws(mean=x.mean(axis=1)[:, None], atoms=x)
         else:
-            means, sqms, atoms = _flow_node_stats(frozen_flow, step if flow_is_local else n)
-        u = rule.values(step, t, x, means[:, 0])
+            law = frozen_flow.at(step if flow_is_local else n)
+        u = rule.values(step, t, x, law.mean[:, 0])
         controls[:, :, step] = u
 
         with np.errstate(over="ignore", invalid="ignore"):
-            drift = gamma * spec.drift.values(t, x, u, means, sqms, atoms)
-            dvol = gamma * spec.vol.values(t, x, u, means, sqms, atoms)
-            dvolc = gamma * spec.vol_common.values(t, x, u, means, sqms, atoms)
+            drift = gamma * spec.drift.values(t, x, u, law)
+            dvol = gamma * spec.vol.values(t, x, u, law)
+            dvolc = gamma * spec.vol_common.values(t, x, u, law)
             if in_b is not None:
                 drift = drift + in_b[:, :, step]
             if in_s is not None:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import MeasureError
 
 if TYPE_CHECKING:
-    from .forward_sim import ParticleEnsemble, TimeGrid
+    from .forward_sim import TimeGrid
 
 # Refinement guard: lcm expansion beyond this atom count is rejected.
 _MAX_REFINED_ATOMS = 10_000_000
@@ -97,41 +97,23 @@ def wasserstein2(m1: EmpiricalMeasure, m2: EmpiricalMeasure) -> float:
     return float(np.sqrt(np.mean(d ** 2)))
 
 
-def pathspace_distance(paths1: np.ndarray, paths2: np.ndarray) -> float:
-    """Monotone-coupling upper bound on the quadratic path-space distance.
-
-    Inputs are arrays of sampled paths, shape (n_paths, n_nodes), on a common
-    grid.  Paths are paired after sorting by (mean, terminal value) and the
-    coupling cost uses the sup-over-grid difference per pair.  This is an
-    upper-bound diagnostic only: the exact path-space distance would require a
-    combinatorial optimal-transport solve and is never used inside solver
-    convergence criteria.
-    """
-    p1 = np.atleast_2d(np.asarray(paths1, dtype=float))
-    p2 = np.atleast_2d(np.asarray(paths2, dtype=float))
-    if p1.shape != p2.shape:
-        raise MeasureError(f"path sample shapes differ: {p1.shape} vs {p2.shape}")
-
-    def _order(p):
-        keys = np.lexsort((p[:, -1], p.mean(axis=1)))
-        return p[keys]
-
-    sup = np.max(np.abs(_order(p1) - _order(p2)), axis=1)
-    return float(np.sqrt(np.mean(sup ** 2)))
-
-
-def conditional_law(ensemble: "ParticleEnsemble", n: int, j: int) -> EmpiricalMeasure:
-    """Empirical law of the particles sharing common path j at grid index n."""
-    states = ensemble.states
-    n_paths, _, n_nodes = states.shape
-    if not (0 <= n < n_nodes) or not (0 <= j < n_paths):
-        raise MeasureError(f"index out of range: step {n}, path {j}")
-    return EmpiricalMeasure(states[j, :, n].copy())
-
-
 # ---------------------------------------------------------------------------
 # Measure flows: one empirical measure per (grid node, common path)
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PathLaws:
+    """The conditional laws of all common paths at one grid node.
+
+    ``mean`` has shape (n_paths, 1) and ``atoms`` shape (n_paths, n_atoms):
+    the same two attributes an ``EmpiricalMeasure`` has, batched over paths so
+    that a measure-dependent callable broadcasts against (path, particle)
+    arrays.  Fields are stored as given, without copies or checks.
+    """
+
+    mean: np.ndarray
+    atoms: np.ndarray
 
 
 @dataclass
@@ -147,7 +129,6 @@ class MeasureFlow:
     atoms: np.ndarray
     grid: "TimeGrid"
     _means: np.ndarray | None = field(default=None, repr=False)
-    _sqms: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=float)
@@ -173,11 +154,9 @@ class MeasureFlow:
             self._means = self.atoms.mean(axis=1)
         return self._means
 
-    @property
-    def second_moments(self) -> np.ndarray:
-        if self._sqms is None:
-            self._sqms = np.mean(self.atoms ** 2, axis=1)
-        return self._sqms
+    def at(self, n: int) -> PathLaws:
+        """The per-path laws at grid node n, as one batched measure argument."""
+        return PathLaws(mean=self.means[:, n, None], atoms=self.atoms[:, :, n])
 
     def node_distance(self, other: "MeasureFlow") -> float:
         """Sup over (node, path) of the per-node Wasserstein distance; solver metric."""

@@ -35,7 +35,7 @@ from .errors import SolverError
 from .forward_sim import (InitialLaw, NoiseBundle, OpenLoopControl, particle_array,
                           simulate_forward, time_major)
 from .measures import MeasureFlow
-from .model import ModelSpec, _f1x_values, _gx_values
+from .model import ModelSpec, hamiltonian_dx
 
 _TOL_MONO_FIELD = 1e-6
 
@@ -107,26 +107,17 @@ def _coefficient_inputs(spec: ModelSpec, bundle: SolutionBundle, eta: float,
     n_steps = controls.shape[2]
     nodes = bundle.grid.nodes
     out_b, out_s, out_st, out_f = (particle_array(*controls.shape) for _ in range(4))
-    means_all = flow.means
-    sqms_all = flow.second_moments
     for n in range(n_steps):
         t = nodes[n]
         x = states[:, :, n]
         u = controls[:, :, n]
-        means = means_all[:, n][:, None]
-        sqms = sqms_all[:, n][:, None]
-        atoms = flow.atoms[:, :, n]
-        out_b[:, :, n] = spec.drift.values(t, x, u, means, sqms, atoms)
-        out_s[:, :, n] = spec.vol.values(t, x, u, means, sqms, atoms)
-        out_st[:, :, n] = spec.vol_common.values(t, x, u, means, sqms, atoms)
-        out_f[:, :, n] = (spec.drift.phi1(t) * bundle.p[:, :, n]
-                          + spec.vol.phi1(t) * bundle.q[:, :, n]
-                          + spec.vol_common.phi1(t) * bundle.q_tilde[:, :, n]
-                          + np.asarray(spec.cost.f0x(t, x, u))
-                          + _f1x_values(spec.cost, t, x, means, sqms, atoms))
-    means_T = means_all[:, -1][:, None]
-    sqms_T = sqms_all[:, -1][:, None]
-    gx_T = _gx_values(spec.cost, states[:, :, -1], means_T, sqms_T, flow.atoms[:, :, -1])
+        law = flow.at(n)
+        out_b[:, :, n] = spec.drift.values(t, x, u, law)
+        out_s[:, :, n] = spec.vol.values(t, x, u, law)
+        out_st[:, :, n] = spec.vol_common.values(t, x, u, law)
+        out_f[:, :, n] = hamiltonian_dx(spec, t, x, bundle.p[:, :, n], bundle.q[:, :, n],
+                                        bundle.q_tilde[:, :, n], u, law)
+    gx_T = spec.cost.gx(states[:, :, -1], flow.at(n_steps))
     return InputPerturbation(
         b=eta * out_b + base.b, sigma=eta * out_s + base.sigma,
         sigma_tilde=eta * out_st + base.sigma_tilde, f=eta * out_f + base.f,
@@ -259,10 +250,8 @@ class DecouplingField:
         return self.intercept + self.slope_x * np.asarray(x) + self.slope_mean * np.asarray(mean)
 
     def as_terminal(self) -> TerminalCondition:
-        def _eval(x, means, sqms, atoms=None):
-            return self.evaluate(x, means)
-
-        return TerminalCondition(evaluate=_eval, lipschitz=max(self.c_v, 1e-12),
+        return TerminalCondition(evaluate=lambda x, m: self.evaluate(x, m.mean),
+                                 lipschitz=max(self.c_v, 1e-12),
                                  monotone=self.monotone, label=f"decoupling_field@{self.tau:.4f}")
 
     def to_dict(self) -> dict:

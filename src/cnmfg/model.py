@@ -7,6 +7,12 @@ noise), each linear in state and control with a measure-dependent intercept:
 
 Running cost separates as f0(t, x, u) + f1(t, x, m) with f0 strictly convex in
 the control (modulus ``convexity_u``); terminal cost g(x, m) is convex in x.
+Each measure-dependent piece (phi0, f1, f1x, g, gx) is one callable that reads
+its law ``m`` only through ``m.mean`` and ``m.atoms`` (atoms on the last axis).
+An ``EmpiricalMeasure`` is one law; the ``PathLaws`` view of a flow node holds
+every path, mean (n_paths, 1) and atoms (n_paths, n_atoms), so one callable
+serves the validators, ``hamiltonian`` and the batched solver loops.
+
 The generalized Hamiltonian is
 
     H(t, x, p, q, qt, u, m) = b*p + sigma*q + sigma_tilde*qt + f,
@@ -30,6 +36,7 @@ import numpy as np
 from .errors import ModelError
 from .measures import (
     EmpiricalMeasure,
+    PathLaws,
     antithetic_coupling,
     comonotone_coupling,
     independent_coupling,
@@ -38,35 +45,24 @@ from .measures import (
 )
 
 ArrayLike = float | np.ndarray
+# the measure argument of a coefficient or cost: anything with .mean and .atoms
+Law = EmpiricalMeasure | PathLaws
 
 
 @dataclass
 class LinearCoefficient:
     """One coefficient phi(t, x, u, m) = phi0(t, m) + phi1(t) x + phi2(t) u.
 
-    ``phi0`` is the canonical measure-based intercept.  ``phi0_stats`` is an
-    optional vectorized fast path taking per-path conditional means and second
-    moments (arrays broadcastable against the state array); it must agree with
-    ``phi0`` and is what the simulation hot loops call.
+    ``phi0(t, m)`` reads ``m.mean`` and ``m.atoms`` only (see the module
+    docstring); on a ``PathLaws`` view it broadcasts against the states.
     """
 
-    phi0: Callable[[float, EmpiricalMeasure], float]
+    phi0: Callable[[float, Law], ArrayLike]
     phi1: Callable[[float], float]
     phi2: Callable[[float], float]
-    phi0_stats: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
 
-    def intercept_values(self, t: float, means: np.ndarray, sqms: np.ndarray,
-                         atoms: np.ndarray | None = None) -> np.ndarray:
-        if self.phi0_stats is not None:
-            return np.asarray(self.phi0_stats(t, means, sqms), dtype=float)
-        if atoms is None:
-            raise ModelError("coefficient lacks a stats hook and no atoms were supplied")
-        vals = np.array([self.phi0(t, EmpiricalMeasure(atoms[j])) for j in range(atoms.shape[0])])
-        return vals.reshape(means.shape)
-
-    def values(self, t: float, x: ArrayLike, u: ArrayLike, means: np.ndarray,
-               sqms: np.ndarray, atoms: np.ndarray | None = None) -> np.ndarray:
-        return self.intercept_values(t, means, sqms, atoms) + self.phi1(t) * x + self.phi2(t) * u
+    def values(self, t: float, x: ArrayLike, u: ArrayLike, m: Law) -> ArrayLike:
+        return self.phi0(t, m) + self.phi1(t) * x + self.phi2(t) * u
 
 
 @dataclass
@@ -74,27 +70,24 @@ class CostSpec:
     """Separable running cost f0(t,x,u) + f1(t,x,m) and terminal cost g(x,m).
 
     ``f0``, ``f0x``, ``f0u`` are elementwise in (x, u).  The measure-dependent
-    pieces come in two equivalent forms: canonical measure-based callables and
-    vectorized ``*_stats`` hooks taking (t, x, means, sqms) with means/sqms
-    broadcastable against x.  ``convexity_u`` is the strict-convexity modulus
-    of f0 in u.  ``f0u_slope`` is set when f0u is linear in u (closed-form
-    minimizer); otherwise ``f0uu`` must be provided for the Newton path.
+    pieces ``f1``, ``f1x``, ``g``, ``gx`` each take one law ``m`` that they
+    read through ``m.mean`` and ``m.atoms`` only, so the same callable serves a
+    single ``EmpiricalMeasure`` and a per-path ``PathLaws`` view.
+    ``convexity_u`` is the strict-convexity modulus of f0 in u.  ``f0u_slope``
+    is set when f0u is linear in u (closed-form minimizer); otherwise ``f0uu``
+    must be provided for the Newton path.
     """
 
     f0: Callable[[float, ArrayLike, ArrayLike], ArrayLike]
     f0x: Callable[[float, ArrayLike, ArrayLike], ArrayLike]
     f0u: Callable[[float, ArrayLike, ArrayLike], ArrayLike]
-    f1: Callable[[float, ArrayLike, EmpiricalMeasure], ArrayLike]
-    f1x: Callable[[float, ArrayLike, EmpiricalMeasure], ArrayLike]
-    g: Callable[[ArrayLike, EmpiricalMeasure], ArrayLike]
-    gx: Callable[[ArrayLike, EmpiricalMeasure], ArrayLike]
+    f1: Callable[[float, ArrayLike, Law], ArrayLike]
+    f1x: Callable[[float, ArrayLike, Law], ArrayLike]
+    g: Callable[[ArrayLike, Law], ArrayLike]
+    gx: Callable[[ArrayLike, Law], ArrayLike]
     convexity_u: float
     f0u_slope: float | None = None
     f0uu: Callable[[float, ArrayLike, ArrayLike], ArrayLike] | None = None
-    f1_stats: Callable[..., np.ndarray] | None = None
-    f1x_stats: Callable[..., np.ndarray] | None = None
-    g_stats: Callable[..., np.ndarray] | None = None
-    gx_stats: Callable[..., np.ndarray] | None = None
 
     def __post_init__(self):
         if self.convexity_u <= 0:
@@ -144,18 +137,16 @@ class ModelSpec:
 
 
 def hamiltonian(spec: ModelSpec, t: float, x: ArrayLike, p: ArrayLike, q: ArrayLike,
-                q_tilde: ArrayLike, u: ArrayLike, m: EmpiricalMeasure) -> ArrayLike:
+                q_tilde: ArrayLike, u: ArrayLike, m: Law) -> ArrayLike:
     """Generalized Hamiltonian b*p + sigma*q + sigma_tilde*qt + f0 + f1."""
-
-    def _coef(c: LinearCoefficient):
-        return c.phi0(t, m) + c.phi1(t) * np.asarray(x) + c.phi2(t) * np.asarray(u)
-
-    h = _coef(spec.drift) * p + _coef(spec.vol) * q + _coef(spec.vol_common) * q_tilde
+    x, u = np.asarray(x), np.asarray(u)
+    h = (spec.drift.values(t, x, u, m) * p + spec.vol.values(t, x, u, m) * q
+         + spec.vol_common.values(t, x, u, m) * q_tilde)
     return h + spec.cost.f0(t, x, u) + spec.cost.f1(t, x, m)
 
 
 def hamiltonian_dx(spec: ModelSpec, t: float, x: ArrayLike, p: ArrayLike, q: ArrayLike,
-                   q_tilde: ArrayLike, u: ArrayLike, m: EmpiricalMeasure) -> ArrayLike:
+                   q_tilde: ArrayLike, u: ArrayLike, m: Law) -> ArrayLike:
     """State derivative of the Hamiltonian: b1 p + sigma1 q + sigma_tilde1 qt + f0x + f1x."""
     return (spec.drift.phi1(t) * p + spec.vol.phi1(t) * q + spec.vol_common.phi1(t) * q_tilde
             + spec.cost.f0x(t, x, u) + spec.cost.f1x(t, x, m))
@@ -237,15 +228,12 @@ def per_sample_costs(spec: ModelSpec, states: np.ndarray, controls: np.ndarray,
     if states.shape[2] != n_steps + 1 or flow.atoms.shape[2] != n_steps + 1:
         raise ModelError("solution paths and measure flow are not on a common grid")
     dt = grid.dt
-    means = flow.means[:, None, :]
-    sqms = flow.second_moments[:, None, :]
     total = np.zeros(states.shape[:2])
     for n in range(n_steps):
         t = grid.nodes[n]
         x, u = states[:, :, n], controls[:, :, n]
-        f1 = _f1_values(spec.cost, t, x, means[:, :, n], sqms[:, :, n], flow.atoms[:, :, n])
-        total += (np.asarray(spec.cost.f0(t, x, u)) + f1) * dt
-    total += _g_values(spec.cost, states[:, :, -1], means[:, :, -1], sqms[:, :, -1], flow.atoms[:, :, -1])
+        total += (np.asarray(spec.cost.f0(t, x, u)) + spec.cost.f1(t, x, flow.at(n))) * dt
+    total += spec.cost.g(states[:, :, -1], flow.at(n_steps))
     return total
 
 
@@ -257,41 +245,6 @@ def cost_functional(spec: ModelSpec, solution) -> float:
     """
     return float(np.mean(per_sample_costs(spec, solution.states, solution.controls,
                                           solution.flow, solution.grid)))
-
-
-# vectorized measure-cost evaluation with per-path fallback to the canonical form
-
-
-def _per_path(fn, t, x, atoms, terminal=False):
-    out = np.empty_like(np.asarray(x, dtype=float))
-    for j in range(out.shape[0]):
-        m = EmpiricalMeasure(atoms[j])
-        out[j] = fn(x[j], m) if terminal else fn(t, x[j], m)
-    return out
-
-
-def _f1_values(cost, t, x, means, sqms, atoms=None):
-    if cost.f1_stats is not None:
-        return np.asarray(cost.f1_stats(t, x, means, sqms))
-    return _per_path(cost.f1, t, x, atoms)
-
-
-def _f1x_values(cost, t, x, means, sqms, atoms=None):
-    if cost.f1x_stats is not None:
-        return np.asarray(cost.f1x_stats(t, x, means, sqms))
-    return _per_path(cost.f1x, t, x, atoms)
-
-
-def _g_values(cost, x, means, sqms, atoms=None):
-    if cost.g_stats is not None:
-        return np.asarray(cost.g_stats(x, means, sqms))
-    return _per_path(cost.g, None, x, atoms, terminal=True)
-
-
-def _gx_values(cost, x, means, sqms, atoms=None):
-    if cost.gx_stats is not None:
-        return np.asarray(cost.gx_stats(x, means, sqms))
-    return _per_path(cost.gx, None, x, atoms, terminal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -581,20 +534,10 @@ def _const(v: float) -> Callable[[float], float]:
 def _make_intercept(base: float, kappa: float = 0.0, kind: str = "affine"):
     """Measure intercept families: affine or tanh in the conditional mean."""
     if kind == "affine":
-        def phi0(t, m):
-            return base + kappa * m.mean
-
-        def phi0_stats(t, means, sqms):
-            return base + kappa * means
-    elif kind == "tanh":
-        def phi0(t, m):
-            return base + kappa * math.tanh(m.mean)
-
-        def phi0_stats(t, means, sqms):
-            return base + kappa * np.tanh(means)
-    else:
-        raise ModelError(f"unknown intercept kind {kind!r}")
-    return phi0, phi0_stats
+        return lambda t, m: base + kappa * m.mean
+    if kind == "tanh":
+        return lambda t, m: base + kappa * np.tanh(m.mean)
+    raise ModelError(f"unknown intercept kind {kind!r}")
 
 
 def _quadratic_cost(cu, cx, c1, lam, cg0, cg, lamg, quartic_x=0.0, quartic_u=0.0) -> CostSpec:
@@ -647,10 +590,6 @@ def _quadratic_cost(cu, cx, c1, lam, cg0, cg, lamg, quartic_x=0.0, quartic_u=0.0
         convexity_u=cu,
         f0u_slope=None if quartic_u else 2.0 * cu,
         f0uu=f0uu,
-        f1_stats=lambda t, x, means, sqms: f1_of(x, means),
-        f1x_stats=lambda t, x, means, sqms: f1x_of(x, means),
-        g_stats=lambda x, means, sqms: g_of(x, means),
-        gx_stats=lambda x, means, sqms: gx_of(x, means),
     )
 
 
@@ -691,9 +630,8 @@ def _build_affine_preset(name: str, overrides: dict, *, intercept_kind: str = "a
 
     def make_coef(base_key, kappa_key, one, two):
         kappa = p[kappa_key] if kappa_key else 0.0
-        phi0, phi0_stats = _make_intercept(p[base_key], kappa, intercept_kind if kappa_key else "affine")
-        return LinearCoefficient(phi0=phi0, phi1=_const(p[one]), phi2=_const(p[two]),
-                                 phi0_stats=phi0_stats)
+        phi0 = _make_intercept(p[base_key], kappa, intercept_kind if kappa_key else "affine")
+        return LinearCoefficient(phi0=phi0, phi1=_const(p[one]), phi2=_const(p[two]))
 
     coupled = bool(p["kappa"] != 0.0 or p["c1"] * p["lam"] != 0.0 or p["cg"] * p["lamg"] != 0.0)
     spec = ModelSpec(
@@ -755,4 +693,9 @@ def get_preset(name: str, params: dict | None = None) -> Preset:
     """Build a named preset, optionally overriding its parameters."""
     if name not in _PRESET_BUILDERS:
         raise ModelError(f"unknown preset {name!r}; known: {', '.join(_PRESET_BUILDERS)}")
-    return _PRESET_BUILDERS[name](dict(params or {}))
+    params = dict(params or {})
+    unknown = sorted(set(params) - set(_LQ_DEFAULTS))
+    if unknown:
+        raise ModelError(f"unknown preset parameter(s) {', '.join(map(repr, unknown))}; "
+                         f"known: {', '.join(_LQ_DEFAULTS)}")
+    return _PRESET_BUILDERS[name](params)

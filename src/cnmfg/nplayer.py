@@ -20,7 +20,7 @@ from .bsde import SolutionBundle, picard_solve, terminal_from_cost
 from .errors import SolverError
 from .forward_sim import FeedbackControl, InitialLaw, NoiseBundle, TimeGrid, simulate_forward
 from .lq_oracle import RiccatiSolution
-from .measures import MeasureFlow
+from .measures import MeasureFlow, PathLaws
 from .model import ModelSpec, per_sample_costs
 
 
@@ -95,16 +95,17 @@ def limit_mean_path(spec: ModelSpec, strategy: FeedbackStrategy, m0: float,
     dt = grid.dt
     out = np.empty(n + 1)
     out[0] = m0
-    mean_arr = np.empty((1, 1))
+    # the population law seen by the coefficients is the Dirac at the limit
+    # mean: one path, one atom, refilled in place every step
+    cell = np.empty((1, 1))
+    law = PathLaws(mean=cell, atoms=cell)
     for i in range(n):
         t = grid.nodes[i]
         m = out[i]
-        mean_arr[0, 0] = m
+        cell[0, 0] = m
         ubar = strategy.intercept[i] + (strategy.slope_x[i] + strategy.slope_mean[i]) * m
-        drift = (spec.drift.intercept_values(t, mean_arr, mean_arr ** 2).item()
-                 + spec.drift.phi1(t) * m + spec.drift.phi2(t) * ubar)
-        diff = (spec.vol_common.intercept_values(t, mean_arr, mean_arr ** 2).item()
-                + spec.vol_common.phi1(t) * m + spec.vol_common.phi2(t) * ubar)
+        drift = spec.drift.values(t, m, ubar, law).item()
+        diff = spec.vol_common.values(t, m, ubar, law).item()
         out[i + 1] = m + drift * dt + diff * dw_common[i]
     return out
 

@@ -7,13 +7,8 @@ import numpy as np
 from cnmfg.model import CostSpec, LinearCoefficient, ModelSpec
 
 
-def const_coef(c0=0.0, c1=0.0, c2=0.0, stats=True) -> LinearCoefficient:
-    return LinearCoefficient(
-        phi0=lambda t, m: c0,
-        phi1=lambda t: c1,
-        phi2=lambda t: c2,
-        phi0_stats=(lambda t, means, sqms: c0 + 0.0 * means) if stats else None,
-    )
+def const_coef(c0=0.0, c1=0.0, c2=0.0) -> LinearCoefficient:
+    return LinearCoefficient(phi0=lambda t, m: c0, phi1=lambda t: c1, phi2=lambda t: c2)
 
 
 def quadratic_cost(cu=1.0, cx=0.0, quartic_u=0.0) -> CostSpec:
@@ -31,10 +26,6 @@ def quadratic_cost(cu=1.0, cx=0.0, quartic_u=0.0) -> CostSpec:
         convexity_u=cu,
         f0u_slope=None if quartic_u else 2 * cu,
         f0uu=lambda t, x, u: 2 * cu + 12 * quartic_u * np.asarray(u) ** 2,
-        f1_stats=lambda t, x, means, sqms: 0.0 * np.asarray(x),
-        f1x_stats=lambda t, x, means, sqms: 0.0 * np.asarray(x),
-        g_stats=lambda x, means, sqms: 0.0 * np.asarray(x),
-        gx_stats=lambda x, means, sqms: 0.0 * np.asarray(x),
     )
 
 

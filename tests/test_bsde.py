@@ -30,7 +30,7 @@ def test_constant_terminal_no_driver():
     noise = NoiseBundle(seed=1, n_paths=6, n_particles=64, grid=grid)
     spec = simple_spec(s0=0.5, st0=0.3)
     ens = _ensemble(spec, noise, InitialLaw(kind="normal", mu=0.0, std=1.0))
-    tc = TerminalCondition(evaluate=lambda x, means, sqms, atoms=None: 3.5 + 0.0 * x, lipschitz=0.0)
+    tc = TerminalCondition(evaluate=lambda x, m: 3.5 + 0.0 * x, lipschitz=0.0)
     back = solve_bsde_given_control(spec, ens, ens.flow, tc, noise)
     # exact up to the ridge bias of the regularized per-path regressions
     assert np.max(np.abs(back.p - 3.5)) < 1e-6
@@ -44,7 +44,7 @@ def test_martingale_representation_identity_terminal():
     noise = NoiseBundle(seed=2, n_paths=8, n_particles=4096, grid=grid)
     spec = simple_spec(s0=1.0)
     ens = _ensemble(spec, noise, InitialLaw(kind="normal", mu=0.0, std=1.0))
-    tc = TerminalCondition(evaluate=lambda x, means, sqms, atoms=None: x, lipschitz=1.0)
+    tc = TerminalCondition(evaluate=lambda x, m: x, lipschitz=1.0)
     back = solve_bsde_given_control(spec, ens, ens.flow, tc, noise)
     assert np.sqrt(np.mean((back.p - ens.states) ** 2)) < 0.05
     assert np.sqrt(np.mean((back.q - 1.0) ** 2)) < 0.05
@@ -193,7 +193,7 @@ def test_check_terminal_diagnostics():
     out = check_terminal(good, rng)
     assert out["monotone_ok"] and out["lipschitz_ok"]
 
-    bad = TerminalCondition(evaluate=lambda x, means, sqms, atoms=None: -x, lipschitz=1.0)
+    bad = TerminalCondition(evaluate=lambda x, m: -x, lipschitz=1.0)
     out = check_terminal(bad, np.random.default_rng(1))
     assert not out["monotone_ok"]
 

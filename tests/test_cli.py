@@ -49,12 +49,15 @@ def test_unknown_keys_and_missing_preset_are_config_errors(tmp_path):
     assert main(["solve", "--config", str(path)]) == 2
 
 
-def test_unknown_preset_is_exit_code_two(tmp_path):
+def test_unknown_preset_is_exit_code_two(tmp_path, capsys):
     path = write_config(tmp_path / "cfg.json", preset="nonexistent")
-    assert main(["solve", "--config", str(path)]) == 1 or True
-    # unknown preset surfaces as an error exit, never a traceback
-    code = main(["solve", "--config", str(path)])
-    assert code in (1, 2)
+    assert main(["solve", "--config", str(path)]) == 2
+    assert "(field: preset)" in capsys.readouterr().err
+    # a misspelt parameter name is rejected by name, never silently ignored
+    path = write_config(tmp_path / "typo.json", preset_params={"kapa": 0.3})
+    assert main(["solve", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'kapa'" in err and "(field: preset_params)" in err
 
 
 def test_solve_artifacts_and_determinism(tmp_path, capsys):
@@ -79,9 +82,9 @@ def test_solve_artifacts_and_determinism(tmp_path, capsys):
     rep1.pop("wall_clock_seconds"), rep2.pop("wall_clock_seconds")
     assert rep1 == rep2
 
-    # thread count must not change results
+    # the output directory must not change results
     out2 = tmp_path / "out2"
-    assert main(["solve", "--config", str(path), "--out", str(out2), "--threads", "4"]) == 0
+    assert main(["solve", "--config", str(path), "--out", str(out2)]) == 0
     assert (out2 / "ensemble.csv").read_bytes() == ens1
 
 

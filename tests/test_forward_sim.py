@@ -5,9 +5,9 @@ import pytest
 
 from cnmfg.errors import SimulationError
 from cnmfg.forward_sim import (FeedbackControl, InitialLaw, NoiseBundle, OpenLoopControl,
-                               TimeGrid, ensemble_statistics, simulate_forward)
+                               TimeGrid, simulate_forward)
 from cnmfg.measures import MeasureFlow, constant_flow
-from cnmfg.model import get_preset
+from cnmfg.model import get_preset, hamiltonian_dx
 
 from helpers import assert_steps_contiguous, simple_spec
 
@@ -73,7 +73,6 @@ def test_mean_field_drift_follows_exponential_ode():
     # drift = conditional mean, identical unit starts: mean(t) = exp(t)
     grid = TimeGrid(1.0, 100)
     spec = simple_spec()
-    spec.drift.phi0_stats = lambda t, means, sqms: means
     spec.drift.phi0 = lambda t, m: m.mean
     noise = NoiseBundle(seed=3, n_paths=4, n_particles=32, grid=grid)
     ens = simulate_forward(spec, OpenLoopControl(np.zeros((4, 32, 100))), noise,
@@ -118,14 +117,12 @@ def test_statistics():
     noise = NoiseBundle(seed=6, n_paths=8, n_particles=256, grid=grid)
     ens = simulate_forward(spec, OpenLoopControl(np.zeros((8, 256, 5))), noise,
                            InitialLaw(kind="constant", mu=3.0))
-    stats = ensemble_statistics(ens)
-    assert np.all(stats.cond_var == 0.0)
-    assert np.allclose(stats.pooled_mean, 3.0)
+    assert np.all(ens.states.var(axis=1) == 0.0)
+    assert np.allclose(ens.flow.means, 3.0)
 
     ens2 = simulate_forward(spec, OpenLoopControl(np.zeros((8, 256, 5))), noise,
                             InitialLaw(kind="normal", mu=0.0, std=1.0))
-    stats2 = ensemble_statistics(ens2)
-    assert abs(stats2.pooled_var[0] - 1.0) <= 5 / np.sqrt(8 * 256)
+    assert abs(ens2.states.var(axis=(0, 1))[0] - 1.0) <= 5 / np.sqrt(8 * 256)
 
 
 def test_linear_sde_variance_matches_moment_ode():
@@ -141,7 +138,7 @@ def test_linear_sde_variance_matches_moment_ode():
     for _ in range(50):
         v = v + (2 * b1 * v + s0 ** 2 + st0 ** 2) * grid.dt
         var_ode.append(v)
-    pooled = ensemble_statistics(ens).pooled_var
+    pooled = ens.states.var(axis=(0, 1))
     err = np.abs(pooled - np.array(var_ode))
     # fluctuation scale of the common-noise component is var*sqrt(2/n_paths) ~ 0.02
     assert np.max(err) < 0.05
@@ -163,6 +160,45 @@ def test_frozen_flow_replaces_live_measure():
     for n in range(10):
         x = x + b1 * x * grid.dt + s0 * noise.dW[:, :, n] + st0 * noise.dW_common[:, n][:, None]
     assert np.allclose(ens.states[:, :, -1], x, atol=1e-12)
+
+
+def _second_moment(m):
+    # reads only m.atoms, reducing over its last axis: one law or one per path
+    return np.mean(m.atoms * m.atoms, axis=-1, keepdims=True)
+
+
+def test_one_callable_serves_live_frozen_and_per_path_laws():
+    # intercept and cost derivative depend on the law beyond its mean
+    grid = TimeGrid(1.0, 8)
+    spec = simple_spec(b1=-0.4, s0=0.3, st0=0.2)
+    spec.drift.phi0 = lambda t, m: 0.5 * np.sqrt(_second_moment(m)) - 0.2 * m.mean
+    spec.vol.phi0 = lambda t, m: 0.1 + 0.05 * _second_moment(m)
+    spec.cost.f1x = lambda t, x, m: np.asarray(x) * _second_moment(m) - m.mean
+    noise = NoiseBundle(seed=14, n_paths=3, n_particles=16, grid=grid)
+    rule = FeedbackControl(lambda step, t, x, means: -0.5 * x + 0.1 * means[:, None])
+    law0 = InitialLaw(kind="normal", mu=0.5, std=0.8)
+    live = simulate_forward(spec, rule, noise, law0)
+    frozen = simulate_forward(spec, rule, noise, law0, frozen_flow=live.flow)
+    assert np.array_equal(frozen.states, live.states)
+    # the law dependence is not inert
+    plain = simulate_forward(simple_spec(b1=-0.4, s0=0.3, st0=0.2), rule, noise, law0)
+    assert not np.array_equal(live.states, plain.states)
+
+    flow = live.flow
+    rng = np.random.default_rng(0)
+    for n in (0, 4, 7):
+        t = grid.nodes[n]
+        x, u = live.states[:, :, n], live.controls[:, :, n]
+        p, q, qt = (rng.normal(size=x.shape) for _ in range(3))
+        law = flow.at(n)
+        assert law.mean.shape == (3, 1) and law.atoms.shape == (3, 16)
+        batched_b = spec.drift.values(t, x, u, law)
+        batched_hx = hamiltonian_dx(spec, t, x, p, q, qt, u, law)
+        for j in range(3):
+            m = flow.measure(n, j)
+            assert np.array_equal(batched_b[j], spec.drift.values(t, x[j], u[j], m))
+            assert np.array_equal(batched_hx[j],
+                                  hamiltonian_dx(spec, t, x[j], p[j], q[j], qt[j], u[j], m))
 
 
 def test_non_finite_state_raises_with_location():

@@ -222,7 +222,7 @@ def test_cost_functional_trivial_cases():
     assert cost_functional(spec, Sol) == pytest.approx(2.0, abs=1e-12)
 
     spec2 = simple_spec(horizon=2.0)
-    spec2.cost.g_stats = lambda x, means, sqms: np.asarray(x) ** 2
+    spec2.cost.g = lambda x, m: np.asarray(x) ** 2
     ens2 = simulate_forward(spec2, OpenLoopControl(np.zeros((2, 4, 8))), noise,
                             InitialLaw(kind="constant", mu=3.0))
 

@@ -8,8 +8,8 @@ import pytest
 from cnmfg.errors import MeasureError
 from cnmfg.forward_sim import InitialLaw, NoiseBundle, OpenLoopControl, TimeGrid, simulate_forward
 from cnmfg.measures import (Coupling, EmpiricalMeasure, MeasureFlow, antithetic_coupling,
-                            comonotone_coupling, conditional_law, independent_coupling,
-                            pathspace_distance, permutation_coupling, second_moment, wasserstein2)
+                            comonotone_coupling, independent_coupling, permutation_coupling,
+                            second_moment, wasserstein2)
 
 from helpers import simple_spec
 
@@ -94,36 +94,19 @@ def test_measure_invariants():
     assert second_moment(EmpiricalMeasure([1.0, 2.0, 3.0])) == pytest.approx(14.0 / 3.0, rel=1e-15)
 
 
-def test_pathspace_distance_examples():
-    t = np.linspace(0.0, 1.0, 11)
-    paths = np.vstack([t, -t])
-    assert pathspace_distance(paths, paths) == 0.0
-    assert pathspace_distance(paths, paths + 2.5) == pytest.approx(2.5, abs=1e-14)
-    # enumerate couplings of 2 paths: identity pairing gives sup gap 1 for both pairs
-    other = np.vstack([2 * t, -2 * t])
-    sup_identity = max(np.max(np.abs(t - 2 * t)), np.max(np.abs(-t + 2 * t)))
-    sup_swapped = np.max(np.abs(t + 2 * t))
-    assert sup_identity < sup_swapped  # monotone pairing is the cheaper one
-    assert pathspace_distance(paths, other) == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(MeasureError):
-        pathspace_distance(paths, np.vstack([t, -t, t]))
-
-
 def test_conditional_law_examples():
     grid = TimeGrid(1.0, 4)
     noise = NoiseBundle(seed=5, n_paths=2, n_particles=2, grid=grid)
     spec = simple_spec()
     ens = simulate_forward(spec, OpenLoopControl(np.zeros((2, 2, 4))), noise,
                            InitialLaw(kind="constant", mu=0.0))
-    m = conditional_law(ens, 2, 1)
+    m = ens.flow.measure(2, 1)
     assert np.all(m.atoms == 0.0)
 
     ens.states[0, :, 3] = [1.0, 3.0]
-    m = conditional_law(ens, 3, 0)
+    m = ens.flow.measure(3, 0)
     assert m.mean == 2.0
     assert second_moment(m) == 5.0
-    with pytest.raises(MeasureError):
-        conditional_law(ens, 99, 0)
 
 
 def test_conditional_law_dirac_with_zero_idiosyncratic_noise():
@@ -137,10 +120,10 @@ def test_conditional_law_dirac_with_zero_idiosyncratic_noise():
     for j in range(3):
         x = 1.0
         for n in range(20):
-            m = conditional_law(ens, n, j)
+            m = ens.flow.measure(n, j)
             assert np.max(np.abs(m.atoms - x)) < 1e-12
             x = x + (0.3 + 0.5 * x) * grid.dt + 0.4 * noise.dW_common[j, n]
-        assert np.max(np.abs(conditional_law(ens, 20, j).atoms - x)) < 1e-12
+        assert np.max(np.abs(ens.flow.measure(20, j).atoms - x)) < 1e-12
 
 
 def test_coupling_marginals_and_costs():

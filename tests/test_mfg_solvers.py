@@ -7,6 +7,7 @@ from cnmfg.bsde import control_rms, solution_distance, solution_norm, terminal_f
 from cnmfg.errors import SolverError
 from cnmfg.forward_sim import InitialLaw, NoiseBundle, TimeGrid
 from cnmfg.lq_oracle import oracle_solution
+from cnmfg.measures import EmpiricalMeasure
 from cnmfg.model import get_preset, sufficient_condition_report
 from cnmfg.mfg_solvers import (DecouplingField, InputPerturbation, fit_decoupling_field,
                                interval_best_response, solve_continuation, solve_scaled_fbsde,
@@ -178,7 +179,7 @@ def test_decoupling_field_fit_and_terminal():
     assert fld.c_v == pytest.approx(np.hypot(1.4, 0.6))
     tc = fld.as_terminal()
     x = np.array([[1.0, 2.0]])
-    vals = tc.evaluate(x, np.array([[0.5]]), np.array([[1.0]]))
+    vals = tc.evaluate(x, EmpiricalMeasure([0.0, 1.0]))
     assert np.allclose(vals, 0.7 + 1.4 * x - 0.3)
 
     bad = DecouplingField(tau=0.5, intercept=0.0, slope_x=-0.2, slope_mean=0.0, r_squared=1.0)
