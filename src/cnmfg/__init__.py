@@ -20,8 +20,7 @@ from .forward_sim import (FeedbackControl, InitialLaw, NoiseBundle, OpenLoopCont
                           ParticleEnsemble, TimeGrid, simulate_forward)
 from .bsde import (BackwardSolution, SolutionBundle, TerminalCondition, check_terminal,
                    control_rms, first_order_residual, picard_solve, solution_distance,
-                   solution_norm, solve_bsde_given_control, solve_fbsde_frozen_flow,
-                   terminal_from_cost)
+                   solution_norm, solve_bsde_given_control, terminal_from_cost)
 from .lq_oracle import (LQParameters, RiccatiSolution, conditional_mean_path, lq_cost_oracle,
                         oracle_solution, solve_riccati)
 from .mfg_solvers import (ContinuationState, DecouplingField, InputPerturbation, StitchReport,

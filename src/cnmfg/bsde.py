@@ -16,7 +16,12 @@ common-noise specifics matter:
 
 The coupled solve iterates: simulate forward under the current control, solve
 backward, replace the control by the pointwise Hamiltonian minimizer, with
-optional damping, until the control stops moving in time-space rms.
+adaptive damping, until the control stops moving in time-space rms.
+
+Every solve runs on the whole grid of its noise bundle: backward step n reads
+node n of the states, the flow, the noise and the grid, with no offset.  An
+interval of the horizon is solved on ``NoiseBundle.window``; a frozen flow
+must lie on the noise's grid.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ from .forward_sim import (InitialLaw, NoiseBundle, OpenLoopControl, ParticleEnse
                           particle_array, simulate_forward, time_major)
 from .measures import MeasureFlow, PathLaws
 from .model import ModelSpec, hamiltonian_dx, minimize_hamiltonian_values
+
+# floor of the Picard damping factor, which starts at 1 (the undamped map)
+_MIN_DAMPING = 0.02
 
 
 @dataclass
@@ -100,7 +108,6 @@ class SolutionBundle:
     q_tilde: np.ndarray
     flow: MeasureFlow
     grid: TimeGrid
-    n_lo: int = 0
     residual_history: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
@@ -152,15 +159,21 @@ def first_order_residual(spec: ModelSpec, bundle: SolutionBundle) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _backward_pass(spec: ModelSpec, states: np.ndarray, controls: np.ndarray,
-                   flow: MeasureFlow, terminal_values: np.ndarray, noise: NoiseBundle,
-                   *, gamma: float = 1.0, input_f: np.ndarray | None = None,
-                   n_lo: int = 0, gate_plan: dict | None = None) -> BackwardSolution:
-    m, k, n_nodes = states.shape
-    span = n_nodes - 1
-    dt = noise.grid.dt
-    nodes = noise.grid.nodes
-    flow_is_local = flow.atoms.shape[2] == span + 1
+def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: MeasureFlow,
+                             terminal: TerminalCondition, noise: NoiseBundle,
+                             *, gamma: float = 1.0, input_f: np.ndarray | None = None,
+                             input_g: np.ndarray | None = None,
+                             gate_plan: dict | None = None) -> BackwardSolution:
+    """Backward solve for a given control and frozen measure flow on the noise's grid."""
+    grid = noise.grid
+    if flow.grid != grid or ensemble.grid != grid:
+        raise SolverError(f"flow on {flow.grid} and ensemble on {ensemble.grid} "
+                          f"are not both on the noise grid {grid}")
+    states, controls = ensemble.states, ensemble.controls
+    m, k, _ = states.shape
+    span = grid.n_steps
+    dt = grid.dt
+    nodes = grid.nodes
     # covariate-selection decisions are recorded per step on the first pass and
     # reused on later sweeps of the same solve, keeping the control-to-control
     # map continuous (flipping gates mid-iteration creates limit cycles)
@@ -171,6 +184,9 @@ def _backward_pass(spec: ModelSpec, states: np.ndarray, controls: np.ndarray,
     p = particle_array(m, k, span + 1)
     q = particle_array(m, k, span)
     qt = particle_array(m, k, span)
+    terminal_values = gamma * np.asarray(terminal.evaluate(states[:, :, -1], flow.at(span)))
+    if input_g is not None:
+        terminal_values = terminal_values + input_g
     p[:, :, span] = terminal_values
 
     eye3 = np.eye(3)
@@ -178,11 +194,10 @@ def _backward_pass(spec: ModelSpec, states: np.ndarray, controls: np.ndarray,
     warnings: list[str] = []
     degenerate_steps = 0
 
-    for step in range(span - 1, -1, -1):
-        n = n_lo + step
+    for n in range(span - 1, -1, -1):
         t = nodes[n]
-        x = states[:, :, step]
-        y = p[:, :, step + 1]
+        x = states[:, :, n]
+        y = p[:, :, n + 1]
         dw = noise.dW[:, :, n]
         dwc = noise.dW_common[:, n]
 
@@ -215,10 +230,9 @@ def _backward_pass(spec: ModelSpec, states: np.ndarray, controls: np.ndarray,
         # the per-path fit coefficients.  The common-increment slope is the
         # common-noise loading; the full factor part is subtracted from the
         # fit to undo its anticipative conditioning on the realized increments.
-        f_idx = step if flow_is_local else n
         if m >= 4:
-            mbar = flow.means[:, f_idx]
-            dm = flow.means[:, f_idx + 1] - mbar
+            mbar = flow.means[:, n]
+            dm = flow.means[:, n + 1] - mbar
             mb_sd = float(mbar.std())
             mb = None
             # the flow-mean covariate is a structural choice: for models whose
@@ -230,7 +244,7 @@ def _backward_pass(spec: ModelSpec, states: np.ndarray, controls: np.ndarray,
             factor_cols = [dwc] + ([mb * dwc] if mb is not None else [])
             n_level = len(cols)
             design_w = np.column_stack(cols + factor_cols)
-            use_z2 = gate_plan.get(("z2", step), False) if freeze_gates else False
+            use_z2 = gate_plan.get(("z2", n), False) if freeze_gates else False
             z2 = None
             if m >= 8:
                 # flow-mean innovation orthogonalized against the common increment;
@@ -243,7 +257,7 @@ def _backward_pass(spec: ModelSpec, states: np.ndarray, controls: np.ndarray,
                     use_z2 = dm_var > 1e-300 and float(np.var(z2_cand)) > 0.05 * dm_var
                 if use_z2 and float(np.var(z2_cand)) > 1e-300:
                     z2 = z2_cand
-            gate_plan[("z2", step)] = z2 is not None
+            gate_plan[("z2", n)] = z2 is not None
             if z2 is not None:
                 factor_cols = factor_cols + ([z2, mb * z2] if mb is not None else [z2])
             design = np.column_stack(cols + factor_cols)
@@ -256,43 +270,27 @@ def _backward_pass(spec: ModelSpec, states: np.ndarray, controls: np.ndarray,
         else:
             qt_val = np.zeros_like(q_val)
             anticipative = np.zeros_like(q_val)
-            if step == span - 1:
+            if n == span - 1:
                 warnings.append("common-noise loading set to zero: fewer than 4 common paths")
 
         cond_exp = fitted - anticipative
 
         # H_x at p = 0: its b1 * p term is implicit, in the denominator below
-        rest = gamma * hamiltonian_dx(spec, t, x, 0.0, q_val, qt_val, controls[:, :, step],
-                                      flow.at(f_idx))
+        rest = gamma * hamiltonian_dx(spec, t, x, 0.0, q_val, qt_val, controls[:, :, n],
+                                      flow.at(n))
         if input_f is not None:
-            rest = rest + input_f[:, :, step]
-        p[:, :, step] = (cond_exp + rest * dt) / (1.0 - gamma * spec.drift.phi1(t) * dt)
-        q[:, :, step] = q_val
-        qt[:, :, step] = qt_val
+            rest = rest + input_f[:, :, n]
+        p[:, :, n] = (cond_exp + rest * dt) / (1.0 - gamma * spec.drift.phi1(t) * dt)
+        q[:, :, n] = q_val
+        qt[:, :, n] = qt_val
 
         var_y = float(np.var(y))
-        r2[step] = 1.0 - float(np.mean(resid ** 2)) / var_y if var_y > 1e-300 else 1.0
+        r2[n] = 1.0 - float(np.mean(resid ** 2)) / var_y if var_y > 1e-300 else 1.0
 
     if degenerate_steps:
         warnings.append(f"regression fell back to intercept-only basis on {degenerate_steps} steps")
     diag = {"r_squared": r2, "warnings": warnings}
-    return BackwardSolution(p=p, q=q, q_tilde=qt, grid=noise.grid if span == noise.grid.n_steps
-                            else noise.grid.subgrid(n_lo, n_lo + span), diagnostics=diag)
-
-
-def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: MeasureFlow,
-                             terminal: TerminalCondition, noise: NoiseBundle,
-                             *, gamma: float = 1.0, input_f: np.ndarray | None = None,
-                             input_g: np.ndarray | None = None, n_lo: int = 0,
-                             gate_plan: dict | None = None) -> BackwardSolution:
-    """Backward solve for a given control and frozen measure flow."""
-    span = ensemble.states.shape[2] - 1
-    idx = span if flow.atoms.shape[2] == span + 1 else n_lo + span
-    terminal_values = gamma * np.asarray(terminal.evaluate(ensemble.states[:, :, -1], flow.at(idx)))
-    if input_g is not None:
-        terminal_values = terminal_values + input_g
-    return _backward_pass(spec, ensemble.states, ensemble.controls, flow, terminal_values, noise,
-                          gamma=gamma, input_f=input_f, n_lo=n_lo, gate_plan=gate_plan)
+    return BackwardSolution(p=p, q=q, q_tilde=qt, grid=grid, diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -303,71 +301,65 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
 def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: TerminalCondition, *,
                  xi0: InitialLaw | None = None, init_states: np.ndarray | None = None,
                  frozen_flow: MeasureFlow | None = None, gamma: float = 1.0,
-                 inputs: dict | None = None, n_lo: int = 0, n_hi: int | None = None,
-                 u0: np.ndarray | None = None, tol: float = 1e-4, max_iter: int = 60,
-                 damping: float = 1.0, min_damping: float = 0.02,
-                 check_divergence: bool = False) -> SolutionBundle:
-    """Solve the coupled system by Picard iteration on the control.
+                 inputs: dict | None = None, u0: np.ndarray | None = None,
+                 tol: float = 1e-4, max_iter: int = 60) -> SolutionBundle:
+    """Solve the coupled system on the noise's grid by Picard iteration on the control.
 
-    With ``frozen_flow`` the measure argument stays fixed (the control problem
-    for a given flow); otherwise each sweep re-simulates the conditional
-    particle system so the flow is the live empirical one.  ``gamma`` and
-    ``inputs`` (keys "b", "sigma", "sigma_tilde", "f" as [j, k, step] tables
-    and "g" as [j, k]) realize the coefficient-scaled system with exogenous
-    perturbations.  Raises SolverError with the residual history on iteration
-    cap, and on three consecutive increases of the measure-flow distance when
-    ``check_divergence`` is set.
+    With ``frozen_flow`` (on the noise's grid) the measure argument stays fixed
+    (the control problem for a given flow); otherwise each sweep re-simulates
+    the conditional particle system so the flow is the live empirical one.
+    ``gamma`` and ``inputs`` (keys "b", "sigma", "sigma_tilde", "f" as
+    [j, k, step] tables and "g" as [j, k]) realize the coefficient-scaled
+    system with exogenous perturbations.  Raises SolverError with the residual
+    history on iteration cap.  On a live flow a divergence guard also runs: it
+    raises on three consecutive increases of the measure-flow distance once
+    the damping is at its floor.
     """
     grid = noise.grid
-    n_hi = grid.n_steps if n_hi is None else n_hi
-    span = n_hi - n_lo
     if init_states is None:
         if xi0 is None:
             raise SolverError("need an initial law or explicit initial states")
         init_states = noise.initial_states(xi0)
-    horizon = span * grid.dt
+    horizon = grid.n_steps * grid.dt
     # the iteration never writes into u, so a time-major u0 is used without a copy
-    u = particle_array(noise.n_paths, noise.n_particles, span, zeros=True) if u0 is None \
+    u = particle_array(noise.n_paths, noise.n_particles, grid.n_steps, zeros=True) if u0 is None \
         else time_major(u0)
     inputs = inputs or {}
     sim_inputs = {key: inputs[key] for key in ("b", "sigma", "sigma_tilde") if key in inputs}
 
     history: list[float] = []
     flow_dists: list[float] = []
-    theta = damping
-    theta_cap = damping
+    theta = theta_cap = 1.0
     prev_step = np.inf
     prev_move = np.inf
     prev_flow = None
     gate_plan: dict = {}
-    nodes = grid.nodes
 
     for it in range(max_iter):
         ens = simulate_forward(spec, OpenLoopControl(u), noise, xi0,
                                init_states=init_states, frozen_flow=frozen_flow,
-                               gamma=gamma, inputs=sim_inputs, n_lo=n_lo, n_hi=n_hi)
+                               gamma=gamma, inputs=sim_inputs)
         flow = frozen_flow if frozen_flow is not None else ens.flow
-        if check_divergence and frozen_flow is None:
+        if frozen_flow is None:
             if prev_flow is not None:
                 flow_dists.append(prev_flow.node_distance(flow))
                 # three rising sweeps clearly above the noise floor, after the
                 # damping rescue has already bottomed out
                 if (len(flow_dists) >= 3 and flow_dists[-1] > flow_dists[-2] > flow_dists[-3]
-                        and flow_dists[-1] > 10.0 * tol and theta <= min_damping):
+                        and flow_dists[-1] > 10.0 * tol and theta <= _MIN_DAMPING):
                     raise SolverError("measure flow diverging over three sweeps",
                                       history={"residuals": history, "flow_distances": flow_dists})
             prev_flow = flow
 
         back = solve_bsde_given_control(spec, ens, flow, terminal, noise, gamma=gamma,
                                         input_f=inputs.get("f"), input_g=inputs.get("g"),
-                                        n_lo=n_lo, gate_plan=gate_plan)
+                                        gate_plan=gate_plan)
 
         u_min = np.empty_like(u)
-        for step in range(span):
-            t = nodes[n_lo + step]
-            u_min[:, :, step] = minimize_hamiltonian_values(
-                spec, t, ens.states[:, :, step], back.p[:, :, step],
-                back.q[:, :, step], back.q_tilde[:, :, step])
+        for n in range(grid.n_steps):
+            u_min[:, :, n] = minimize_hamiltonian_values(
+                spec, grid.nodes[n], ens.states[:, :, n], back.p[:, :, n],
+                back.q[:, :, n], back.q_tilde[:, :, n])
 
         # convergence is measured on the undamped fixed-point gap, so a small
         # damping factor cannot fake progress
@@ -379,7 +371,7 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: TerminalConditio
             diag["damping_final"] = theta
             bundle = SolutionBundle(
                 states=ens.states, controls=ens.controls, p=back.p, q=back.q,
-                q_tilde=back.q_tilde, flow=flow, grid=ens.grid, n_lo=n_lo,
+                q_tilde=back.q_tilde, flow=flow, grid=grid,
                 residual_history=history, diagnostics=diag)
             diag["first_order_residual"] = first_order_residual(spec, bundle)
             return bundle
@@ -388,11 +380,11 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: TerminalConditio
         # damp further, solid contractions recover the step up to the cap, and
         # the realized movement per sweep never more than doubles
         if step_rms > prev_step:
-            theta_cap = max(theta * 0.5, min_damping)
+            theta_cap = max(theta * 0.5, _MIN_DAMPING)
             theta = theta_cap
         elif step_rms > 0.98 * prev_step:
             # a stall reveals the map struggles at this step size: remember it
-            theta = max(theta * 0.5, min_damping)
+            theta = max(theta * 0.5, _MIN_DAMPING)
             theta_cap = min(theta_cap, theta)
         elif step_rms < 0.6 * prev_step:
             theta = min(theta * 2.0, theta_cap)
@@ -407,11 +399,3 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: TerminalConditio
     raise SolverError(f"control iteration did not converge in {max_iter} sweeps "
                       f"(last residual {history[-1]:.3e})",
                       history={"residuals": history, "flow_distances": flow_dists})
-
-
-def solve_fbsde_frozen_flow(spec: ModelSpec, flow: MeasureFlow, xi0: InitialLaw,
-                            terminal: TerminalCondition, noise: NoiseBundle,
-                            tol: float = 1e-4, max_iter: int = 60, **kw) -> SolutionBundle:
-    """Control problem for a frozen measure flow, solved by Picard on the control."""
-    return picard_solve(spec, noise, terminal, xi0=xi0, frozen_flow=flow,
-                        tol=tol, max_iter=max_iter, **kw)

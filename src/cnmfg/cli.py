@@ -14,11 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsde import control_rms, solution_norm, solve_fbsde_frozen_flow, terminal_from_cost
+from .bsde import control_rms, picard_solve, solution_norm, terminal_from_cost
 from .errors import CnmfgError, ConfigError, ModelError, SolverError
 from .forward_sim import NoiseBundle, OpenLoopControl, TimeGrid, particle_array, simulate_forward
 from .lq_oracle import lq_cost_oracle, oracle_solution, solve_riccati
-from .measures import constant_flow, MeasureFlow
+from .measures import constant_flow
 from .model import (cost_functional, get_preset, preset_names, sufficient_condition_report,
                     validate_assumptions)
 from .mfg_solvers import solve_continuation, solve_scaled_fbsde, solve_stitched
@@ -83,9 +83,8 @@ def _frozen_flow(cfg: RunConfig, preset, noise, xi0):
         return constant_flow(float(cfg.frozen_flow.get("value", 0.0)), noise.grid, cfg.n_common)
     # zero_control: the conditional particle flow under the null control
     m, k, n = cfg.n_common, cfg.n_particles, cfg.n_steps
-    ens = simulate_forward(preset.spec, OpenLoopControl(particle_array(m, k, n, zeros=True)),
-                           noise, xi0)
-    return MeasureFlow(atoms=ens.states, grid=noise.grid)
+    return simulate_forward(preset.spec, OpenLoopControl(particle_array(m, k, n, zeros=True)),
+                            noise, xi0).flow
 
 
 def cmd_solve(args) -> int:
@@ -118,8 +117,8 @@ def cmd_solve(args) -> int:
         ratios = rep.interval_ratios
     elif cfg.method == "given-m":
         flow = _frozen_flow(cfg, preset, noise, xi0)
-        bundle = solve_fbsde_frozen_flow(preset.spec, flow, xi0, terminal_from_cost(preset.spec),
-                                         noise, tol=tol, max_iter=cfg.max_iter)
+        bundle = picard_solve(preset.spec, noise, terminal_from_cost(preset.spec), xi0=xi0,
+                              frozen_flow=flow, tol=tol, max_iter=cfg.max_iter)
     else:  # direct
         bundle = solve_scaled_fbsde(preset.spec, 1.0, xi0, None, noise, tol=tol,
                                     max_iter=cfg.max_iter)

@@ -12,6 +12,11 @@ approximated by the empirical law over the K particles of each path, which
 makes the conditional McKean-Vlasov fixed point exact at the particle level:
 simulating forward with coefficients read off the current per-path empirical
 law is self-consistent by construction.
+
+A simulation covers the whole grid of its noise bundle: step n reads node n
+of the grid, the increments and any frozen flow, one time index throughout.
+A stretch of the horizon is simulated on ``NoiseBundle.window``, views on the
+increments of those steps on a grid with the parent's step and nodes.
 """
 
 from __future__ import annotations
@@ -35,29 +40,33 @@ _CH_IDIOSYNCRATIC, _CH_COMMON, _CH_INITIAL = 0, 1, 2
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t0 = t_0 < ... < t_N = t0 + span; top-level grids start at 0."""
+    """Uniform grid t0 = t_0 < ... < t_N = t0 + span; top-level grids start at 0.
+
+    A subgrid holds its parent's ``dt`` and a view of its read-only ``nodes``.
+    """
 
     horizon: float
     n_steps: int
     t0: float = 0.0
+    dt: float = field(init=False, repr=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.horizon <= 0 or self.n_steps < 1:
             raise SimulationError("grid needs positive horizon and at least one step")
-
-    @property
-    def dt(self) -> float:
-        return self.horizon / self.n_steps
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.t0 + np.linspace(0.0, self.horizon, self.n_steps + 1)
+        nodes = self.t0 + np.linspace(0.0, self.horizon, self.n_steps + 1)
+        nodes.flags.writeable = False
+        object.__setattr__(self, "dt", self.horizon / self.n_steps)
+        object.__setattr__(self, "nodes", nodes)
 
     def subgrid(self, n_lo: int, n_hi: int) -> "TimeGrid":
         if not (0 <= n_lo < n_hi <= self.n_steps):
             raise SimulationError(f"invalid subgrid [{n_lo}, {n_hi}] of {self.n_steps} steps")
         span = n_hi - n_lo
-        return TimeGrid(horizon=span * self.dt, n_steps=span, t0=self.nodes[n_lo])
+        sub = TimeGrid(horizon=span * self.dt, n_steps=span, t0=float(self.nodes[n_lo]))
+        object.__setattr__(sub, "dt", self.dt)
+        object.__setattr__(sub, "nodes", self.nodes[n_lo:n_hi + 1])
+        return sub
 
 
 @dataclass(frozen=True)
@@ -138,6 +147,11 @@ class NoiseBundle:
         bundle.dW, bundle.dW_common, bundle.given = dW, dW_common, True
         return bundle
 
+    def window(self, n_lo: int, n_hi: int) -> "NoiseBundle":
+        """The increments of steps n_lo..n_hi - 1 as views, on ``grid.subgrid(n_lo, n_hi)``."""
+        return NoiseBundle.from_arrays(self.seed, self.grid.subgrid(n_lo, n_hi),
+                                       self.dW[:, :, n_lo:n_hi], self.dW_common[:, n_lo:n_hi])
+
     def initial_states(self, law: InitialLaw) -> np.ndarray:
         m, k = self.n_paths, self.n_particles
         if law.kind == "constant":
@@ -193,7 +207,6 @@ class ParticleEnsemble:
     states: np.ndarray       # (n_paths, n_particles, n_nodes)
     controls: np.ndarray     # (n_paths, n_particles, n_nodes - 1)
     grid: TimeGrid
-    initial_law: InitialLaw | None = None
 
     @property
     def flow(self) -> MeasureFlow:
@@ -205,24 +218,21 @@ def simulate_forward(spec: ModelSpec, rule: ControlRule, noise: NoiseBundle,
                      init_states: np.ndarray | None = None,
                      frozen_flow: MeasureFlow | None = None,
                      gamma: float = 1.0,
-                     inputs: dict | None = None,
-                     n_lo: int = 0, n_hi: int | None = None) -> ParticleEnsemble:
-    """Euler scheme for the conditional particle system.
+                     inputs: dict | None = None) -> ParticleEnsemble:
+    """Euler scheme for the conditional particle system on the grid of ``noise``.
 
     By default the measure argument of every coefficient is the live per-path
     empirical law (the conditional McKean-Vlasov case); passing ``frozen_flow``
-    evaluates coefficients on a fixed flow instead.  ``gamma`` scales the model
-    coefficients and ``inputs`` adds exogenous tables (keys "b", "sigma",
-    "sigma_tilde", arrays indexed [j, k, local step]) - together they realize
-    the coefficient-scaled systems used by the continuation solver.  The
-    simulation covers grid nodes ``n_lo`` to ``n_hi`` and is deterministic
-    given the noise bundle.
+    evaluates coefficients on a fixed flow instead, which must lie on the
+    noise's grid.  ``gamma`` scales the model coefficients and ``inputs`` adds
+    exogenous tables (keys "b", "sigma", "sigma_tilde", arrays indexed
+    [j, k, step]) - together they realize the coefficient-scaled systems used
+    by the continuation solver.  The simulation is deterministic given the
+    noise bundle.
     """
     grid = noise.grid
-    n_hi = grid.n_steps if n_hi is None else n_hi
-    span = n_hi - n_lo
-    if span < 1:
-        raise SimulationError("empty simulation span")
+    if frozen_flow is not None and frozen_flow.grid != grid:
+        raise SimulationError(f"frozen flow on {frozen_flow.grid} is not on the noise grid {grid}")
     if init_states is None:
         if xi0 is None:
             raise SimulationError("need an initial law or explicit initial states")
@@ -234,47 +244,42 @@ def simulate_forward(spec: ModelSpec, rule: ControlRule, noise: NoiseBundle,
 
     nodes = grid.nodes
     dt = grid.dt
-    states = particle_array(m, k, span + 1)
-    controls = particle_array(m, k, span)
+    states = particle_array(m, k, grid.n_steps + 1)
+    controls = particle_array(m, k, grid.n_steps)
     states[:, :, 0] = init_states
     inputs = inputs or {}
     in_b = inputs.get("b")
     in_s = inputs.get("sigma")
     in_st = inputs.get("sigma_tilde")
 
-    # frozen flows may cover the full grid (indexed by global node) or just the
-    # simulated span (indexed locally)
-    flow_is_local = frozen_flow is not None and frozen_flow.atoms.shape[2] == span + 1
-
-    for step in range(span):
-        n = n_lo + step
+    for n in range(grid.n_steps):
         t = nodes[n]
-        x = states[:, :, step]
+        x = states[:, :, n]
         if frozen_flow is None:
             with np.errstate(over="ignore"):
                 law = PathLaws(mean=x.mean(axis=1)[:, None], atoms=x)
         else:
-            law = frozen_flow.at(step if flow_is_local else n)
-        u = rule.values(step, t, x, law.mean[:, 0])
-        controls[:, :, step] = u
+            law = frozen_flow.at(n)
+        u = rule.values(n, t, x, law.mean[:, 0])
+        controls[:, :, n] = u
 
         with np.errstate(over="ignore", invalid="ignore"):
             drift = gamma * spec.drift.values(t, x, u, law)
             dvol = gamma * spec.vol.values(t, x, u, law)
             dvolc = gamma * spec.vol_common.values(t, x, u, law)
             if in_b is not None:
-                drift = drift + in_b[:, :, step]
+                drift = drift + in_b[:, :, n]
             if in_s is not None:
-                dvol = dvol + in_s[:, :, step]
+                dvol = dvol + in_s[:, :, n]
             if in_st is not None:
-                dvolc = dvolc + in_st[:, :, step]
+                dvolc = dvolc + in_st[:, :, n]
             nxt = x + drift * dt + dvol * noise.dW[:, :, n] + dvolc * noise.dW_common[:, n][:, None]
         if not np.all(np.isfinite(nxt)):
             j_bad, k_bad = np.argwhere(~np.isfinite(nxt))[0]
             raise SimulationError(
-                f"non-finite state at step {n + 1}, path {j_bad}, particle {k_bad}",
+                f"non-finite state at step {n + 1} (t = {nodes[n + 1]:.6g}), path {j_bad}, "
+                f"particle {k_bad}",
                 step=n + 1, path=int(j_bad), particle=int(k_bad))
-        states[:, :, step + 1] = nxt
+        states[:, :, n + 1] = nxt
 
-    out_grid = grid if (n_lo, n_hi) == (0, grid.n_steps) else grid.subgrid(n_lo, n_hi)
-    return ParticleEnsemble(states=states, controls=controls, grid=out_grid, initial_law=xi0)
+    return ParticleEnsemble(states=states, controls=controls, grid=grid)

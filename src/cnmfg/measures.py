@@ -145,7 +145,9 @@ class MeasureFlow:
         return self.atoms.shape[0]
 
     def measure(self, n: int, j: int) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.atoms[j, :, n].copy())
+        if not 0 <= j < self.n_paths:
+            raise MeasureError(f"path {j} outside 0..{self.n_paths - 1}")
+        return EmpiricalMeasure(self.at(n).atoms[j].copy())
 
     @property
     def means(self) -> np.ndarray:
@@ -156,6 +158,8 @@ class MeasureFlow:
 
     def at(self, n: int) -> PathLaws:
         """The per-path laws at grid node n, as one batched measure argument."""
+        if not 0 <= n < self.atoms.shape[2]:
+            raise MeasureError(f"node {n} outside 0..{self.atoms.shape[2] - 1}")
         return PathLaws(mean=self.means[:, n, None], atoms=self.atoms[:, :, n])
 
     def node_distance(self, other: "MeasureFlow") -> float:

@@ -97,7 +97,7 @@ def solve_scaled_fbsde(spec: ModelSpec, gamma: float, xi0: InitialLaw,
     terminal = terminal_from_cost(spec)
     in_dict = inputs.as_dict() if inputs is not None else None
     return picard_solve(spec, noise, terminal, xi0=xi0, gamma=gamma, inputs=in_dict,
-                        u0=u0, tol=tol, max_iter=max_iter, check_divergence=True)
+                        u0=u0, tol=tol, max_iter=max_iter)
 
 
 def _coefficient_inputs(spec: ModelSpec, bundle: SolutionBundle, eta: float,
@@ -209,7 +209,6 @@ def solve_continuation(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle,
                 raise SolverError("continuation stalled: step size underflow",
                                   history={"schedule": state.schedule(),
                                            "last_distances": distances})
-    state.bundle.diagnostics["continuation_schedule"] = state.schedule()
     return state.bundle, state
 
 
@@ -281,16 +280,16 @@ def interval_best_response(spec: ModelSpec, u_hat: np.ndarray, n_lo: int, n_hi: 
                            max_iter: int = 60) -> SolutionBundle:
     """One application of the interval map: population under u_hat, then best response.
 
-    Simulates the conditional particle system under ``u_hat`` from the given
-    initial states, freezes its empirical flow, and solves the control problem
-    against that flow with terminal adjoint v evaluated on the frozen flow.
-    The returned bundle's controls are the map output.
+    On the window of steps n_lo..n_hi - 1 of ``noise``, simulates the
+    conditional particle system under ``u_hat`` from the given initial states,
+    freezes its empirical flow, and solves the control problem against that
+    flow with terminal adjoint v evaluated on the frozen flow.  The returned
+    bundle lies on the window's grid; its controls are the map output.
     """
-    hat_ens = simulate_forward(spec, OpenLoopControl(u_hat), noise,
-                               init_states=init_states, n_lo=n_lo, n_hi=n_hi)
-    return picard_solve(spec, noise, terminal, init_states=init_states,
-                        frozen_flow=hat_ens.flow, n_lo=n_lo, n_hi=n_hi,
-                        u0=u_hat, tol=inner_tol, max_iter=max_iter)
+    window = noise.window(n_lo, n_hi)
+    hat_ens = simulate_forward(spec, OpenLoopControl(u_hat), window, init_states=init_states)
+    return picard_solve(spec, window, terminal, init_states=init_states,
+                        frozen_flow=hat_ens.flow, u0=u_hat, tol=inner_tol, max_iter=max_iter)
 
 
 class _ContractionFailure(Exception):
@@ -345,9 +344,7 @@ def solve_stitched(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle, *,
     contraction failure halves the interval length and restarts, up to
     ``max_halvings`` times.
     """
-    grid = noise.grid
-    n = grid.n_steps
-    m, k = noise.n_paths, noise.n_particles
+    n = noise.grid.n_steps
     inner_tol = max(tol / 5.0, 1e-7)
     frac = interval_fraction
     init_full = noise.initial_states(xi0)
@@ -429,29 +426,21 @@ def _run_stitch(spec, xi0, noise, bounds, tol, inner_tol, max_fp_iter, global_pa
             ratios.append(ratio)
             iters.append(len(distances))
             finals_hist.append(distances[-1])
-            states[:, :, lo:hi] = bundle.states[:, :, :-1]
+            # node hi is written again, with the same states, by the next interval
+            states[:, :, lo:hi + 1] = bundle.states
             controls[:, :, lo:hi] = bundle.controls
-            p[:, :, lo:hi] = bundle.p[:, :, :-1]
+            p[:, :, lo:hi + 1] = bundle.p
             q[:, :, lo:hi] = bundle.q
             qt[:, :, lo:hi] = bundle.q_tilde
             current = bundle.states[:, :, -1]
-            if r == n_int:
-                states[:, :, n] = bundle.states[:, :, -1]
-                p[:, :, n] = bundle.p[:, :, -1]
             u_full[:, :, lo:hi] = bundle.controls
 
         report.interval_ratios.extend(ratios)
         report.interval_iterations.extend(iters)
         report.fields = field_objs[::-1]
-        flow = MeasureFlow(atoms=states, grid=grid)
         final = SolutionBundle(states=states, controls=controls, p=p, q=q, q_tilde=qt,
-                               flow=flow, grid=grid,
-                               residual_history=list(finals_hist),
-                               diagnostics={"stitch_boundaries": report.boundaries,
-                                            "interval_ratios": report.interval_ratios,
-                                            "cold_backward_ratios": report.cold_backward_ratios,
-                                            "fields": [f.to_dict() for f in report.fields],
-                                            "passes": report.passes})
+                               flow=MeasureFlow(atoms=states, grid=grid), grid=grid,
+                               residual_history=list(finals_hist))
         final.diagnostics["first_order_residual"] = first_order_residual(spec, final)
         if prev_controls is not None:
             change = control_rms(controls - prev_controls, grid.dt, grid.horizon)

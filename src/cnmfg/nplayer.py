@@ -32,10 +32,16 @@ class FeedbackStrategy:
     slope_x: np.ndarray
     slope_mean: np.ndarray
 
-    def control_rule(self) -> FeedbackControl:
-        def fn(step, t, x, means):
+    def control_rule(self, means: np.ndarray | None = None) -> FeedbackControl:
+        """The feedback as a control rule, reading a mean per common path and step.
+
+        By default the mean is the conditional mean the simulation passes;
+        a table ``means[j, step]`` (one row per common path) replaces it.
+        """
+        def fn(step, t, x, live_means):
+            mean = live_means if means is None else means[:, step]
             return (self.intercept[step] + self.slope_x[step] * x
-                    + self.slope_mean[step] * means[:, None])
+                    + self.slope_mean[step] * mean[:, None])
 
         return FeedbackControl(fn)
 
@@ -130,18 +136,12 @@ def simulate_nplayer(spec: ModelSpec, strategy: FeedbackStrategy, n_players: int
     """
     noise = NoiseBundle(seed=seed, n_paths=1, n_particles=n_players, grid=grid)
     limit_means = None
-    rule = strategy.control_rule()
     if mean_source == "limit":
         limit_means = limit_mean_path(spec, strategy, _initial_mean(xi0),
                                       noise.dW_common[0], grid)
-        base = rule
-
-        def fn(step, t, x, means):
-            return base.fn(step, t, x, np.full(1, limit_means[step]))
-
-        rule = FeedbackControl(fn)
     elif mean_source != "empirical":
         raise SolverError(f"unknown mean source {mean_source!r}")
+    rule = strategy.control_rule(None if limit_means is None else limit_means[None, :])
     ens = simulate_forward(spec, rule, noise, xi0)
     costs = per_sample_costs(spec, ens.states, ens.controls, ens.flow, grid)[0]
     return PlayerSystem(states=ens.states[0], controls=ens.controls[0], costs=costs,
@@ -206,16 +206,8 @@ def nash_gap(spec: ModelSpec, strategy: FeedbackStrategy, n_players: int, grid: 
     dev_noise = NoiseBundle.from_arrays(
         dev_seed, grid, dW, np.concatenate([run.noise.dW_common for run in runs], axis=0))
 
-    base_rule = strategy.control_rule()
-    if mean_source == "limit":
-        limit_matrix = np.stack([run.limit_means for run in runs])
-
-        def fn(step, t, x, means):
-            return base_rule.fn(step, t, x, limit_matrix[:, step])
-
-        strat_rule = FeedbackControl(fn)
-    else:
-        strat_rule = base_rule
+    strat_rule = strategy.control_rule(
+        np.stack([run.limit_means for run in runs]) if mean_source == "limit" else None)
     strat_ens = simulate_forward(spec, strat_rule, dev_noise,
                                  init_states=init_states, frozen_flow=frozen)
     cost_strat = per_sample_costs(spec, strat_ens.states, strat_ens.controls, frozen, grid)
@@ -275,13 +267,8 @@ def population_cost_convergence(spec: ModelSpec, strategy: FeedbackStrategy, n_p
         big = NoiseBundle.from_arrays(big_seed, grid, dW, run.noise.dW_common)
         init = big.initial_states(xi0)
         init[0, :n_players] = run.states[:, 0]
-        lm = run.limit_means
-        base = strategy.control_rule()
-
-        def fn(step, t, x, means):
-            return base.fn(step, t, x, np.full(1, lm[step]))
-
-        ens = simulate_forward(spec, FeedbackControl(fn), big, init_states=init)
+        ens = simulate_forward(spec, strategy.control_rule(run.limit_means[None, :]), big,
+                               init_states=init)
         proxy_costs = per_sample_costs(spec, ens.states, ens.controls, ens.flow, grid)[0, :n_players]
         diffs.append(run.costs.mean() - proxy_costs.mean())
     diffs = np.asarray(diffs)

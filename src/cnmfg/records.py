@@ -194,7 +194,6 @@ class SolverReport:
     condition_report: dict = field(default_factory=dict)
     first_order_residual: float | None = None
     solution_norm: float | None = None
-    method_agreement: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
     wall_clock_seconds: float = 0.0
     artifact_version: str = __version__
@@ -212,7 +211,6 @@ class SolverReport:
             "condition_report": self.condition_report,
             "first_order_residual": self.first_order_residual,
             "solution_norm": self.solution_norm,
-            "method_agreement": self.method_agreement,
             "warnings": list(self.warnings),
             "wall_clock_seconds": self.wall_clock_seconds,
             "artifact_version": self.artifact_version,

@@ -1,0 +1,108 @@
+"""The benchmark's tracer still finds every package function it times.
+
+``bench/tracing.py`` hooks public ``cnmfg`` functions by name and binds some
+of their arguments by name; a hook whose target is renamed is skipped and its
+layer counter reads zero without any error.  These tests load the tracer from
+its file (read-only, no bytecode written) and fail on such a rename.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+# arguments the hooks' readers take from the bound call, per bound hook
+BOUND_ARGUMENTS = {
+    "cnmfg.mfg_solvers:solve_scaled_fbsde": ("gamma", "u0"),
+    "cnmfg.model:minimize_hamiltonian_values": ("spec",),
+}
+
+# counters that a run with no inconclusive Nash estimate may leave at zero
+MAY_BE_ZERO = {"nplayer.inconclusive"}
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module       # dataclasses resolve annotations through it
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+    yield module
+    del sys.modules[spec.name]
+
+
+def _resolve(target: str):
+    module_name, attr = target.split(":")
+    owner = importlib.import_module(module_name)
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_every_hook_target_resolves(tracing):
+    for hook in tracing.HOOKS:
+        assert callable(_resolve(hook.target)), hook.target
+    tracer = tracing.Tracer()
+    tracer.install()
+    tracer.uninstall()
+    assert tracer.missing == []
+
+
+def test_a_renamed_function_is_reported_missing(tracing, monkeypatch):
+    # the check above is not vacuous: a hooked name that is gone is reported
+    from cnmfg import bsde
+    monkeypatch.delattr(bsde, "solve_bsde_given_control")
+    monkeypatch.delattr(bsde, "picard_solve")
+    tracer = tracing.Tracer()
+    tracer.install()
+    tracer.uninstall()
+    assert sorted(tracer.missing) == ["cnmfg.bsde.picard_solve",
+                                      "cnmfg.bsde.solve_bsde_given_control"]
+
+
+def test_bound_arguments_exist(tracing):
+    bound = {hook.target for hook in tracing.HOOKS if hook.bind}
+    assert bound == set(BOUND_ARGUMENTS)
+    for target, names in BOUND_ARGUMENTS.items():
+        parameters = inspect.signature(_resolve(target)).parameters
+        for name in names:
+            assert name in parameters, f"{target} has no argument {name!r}"
+
+
+def _tiny_config(tmp_path, command: str) -> Path:
+    raw = {"preset": "lq", "grid": {"horizon": 1.0, "n_steps": 6},
+           "ensemble": {"n_common": 4, "n_particles": 16},
+           "initial_law": {"kind": "normal", "mu": 1.0, "std": 0.5},
+           "solver": {"method": "continuation", "tol": 1e-2, "eta0": 0.5}, "seed": 11,
+           "nash": {"player_counts": [4], "seeds": [0, 1], "n_replicas": 4, "n_copies": 8}}
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def test_every_layer_counter_moves_on_the_cli(tracing, tmp_path):
+    # calls go through the module attribute, which the tracer rebinds
+    cli = importlib.import_module("cnmfg.cli")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        ops = [tracer.operation(cli.main, [command, "--config", str(_tiny_config(tmp_path, command)),
+                                           "--out", str(tmp_path / command)])
+               for command in ("solve", "nash")]
+    finally:
+        tracer.uninstall()
+    assert [code for code, _ in ops] == [0, 0]
+    metrics = [tracing.operation_metrics(tracer, root) for _, root in ops]
+    zero = [name for name in tracing.COUNT_METRICS
+            if name not in MAY_BE_ZERO and max(m[name] for m in metrics) == 0]
+    assert zero == []

@@ -5,7 +5,7 @@ import pytest
 
 from cnmfg.bsde import (SolutionBundle, TerminalCondition, check_terminal, control_rms,
                         picard_solve, solution_distance, solution_norm,
-                        solve_bsde_given_control, solve_fbsde_frozen_flow, terminal_from_cost)
+                        solve_bsde_given_control, terminal_from_cost)
 from cnmfg.errors import SolverError
 from cnmfg.forward_sim import (InitialLaw, NoiseBundle, OpenLoopControl, TimeGrid,
                                simulate_forward)
@@ -36,6 +36,22 @@ def test_constant_terminal_no_driver():
     assert np.max(np.abs(back.p - 3.5)) < 1e-6
     assert np.max(np.abs(back.q)) < 1e-6
     assert np.max(np.abs(back.q_tilde)) < 1e-6
+
+
+def test_backward_solve_needs_the_flow_on_the_noise_grid():
+    grid = TimeGrid(1.0, 10)
+    noise = NoiseBundle(seed=1, n_paths=4, n_particles=8, grid=grid)
+    spec = simple_spec(s0=0.5)
+    tc = terminal_from_cost(spec)
+    window = noise.window(2, 6)
+    ens = _ensemble(spec, window, InitialLaw(kind="constant", mu=0.0))
+    back = solve_bsde_given_control(spec, ens, ens.flow, tc, window)
+    assert back.grid is window.grid and back.p.shape == (4, 8, 5)
+    # a full-grid flow with a window would read the wrong nodes
+    with pytest.raises(SolverError, match="noise grid"):
+        solve_bsde_given_control(spec, ens, constant_flow(0.0, grid, 4), tc, window)
+    with pytest.raises(SolverError, match="noise grid"):
+        solve_bsde_given_control(spec, ens, ens.flow, tc, noise)
 
 
 def test_martingale_representation_identity_terminal():
@@ -100,8 +116,8 @@ def test_frozen_dirac_flow_matches_decoupled_riccati_feedback():
     noise = NoiseBundle(seed=5, n_paths=16, n_particles=128, grid=grid)
     xi0 = InitialLaw(kind="normal", mu=1.0, std=0.5)
     flow = constant_flow(0.0, grid, 16)
-    bundle = solve_fbsde_frozen_flow(preset.spec, flow, xi0, terminal_from_cost(preset.spec),
-                                     noise, tol=1e-5)
+    bundle = picard_solve(preset.spec, noise, terminal_from_cost(preset.spec), xi0=xi0,
+                          frozen_flow=flow, tol=1e-5)
     import dataclasses
 
     decoupled = dataclasses.replace(preset.lq_params, lam=0.0, lamg=0.0, kappa=0.0)
@@ -177,8 +193,8 @@ def test_monotone_terminal_propagates_to_initial_adjoint():
     noise = NoiseBundle(seed=8, n_paths=8, n_particles=64, grid=grid)
     flow = constant_flow(0.5, grid, 8)
     tc = terminal_from_cost(preset.spec)
-    b1 = solve_fbsde_frozen_flow(preset.spec, flow, InitialLaw(kind="normal", mu=0.5, std=0.4),
-                                 tc, noise, tol=1e-5)
+    b1 = picard_solve(preset.spec, noise, tc, xi0=InitialLaw(kind="normal", mu=0.5, std=0.4),
+                      frozen_flow=flow, tol=1e-5)
     b2_init = noise.initial_states(InitialLaw(kind="normal", mu=0.5, std=0.4)) + 0.6
     b2 = picard_solve(preset.spec, noise, tc, init_states=b2_init, frozen_flow=flow, tol=1e-5)
     dp = b2.p[:, :, 0] - b1.p[:, :, 0]

@@ -211,16 +211,45 @@ def test_non_finite_state_raises_with_location():
     assert err.value.step is not None
 
 
-def test_subinterval_simulation():
+def test_noise_window_simulation():
     grid = TimeGrid(1.0, 10)
-    spec = simple_spec(b0=1.0)
-    noise = NoiseBundle(seed=10, n_paths=2, n_particles=2, grid=grid)
-    init = np.full((2, 2), 0.5)
-    ens = simulate_forward(spec, OpenLoopControl(np.zeros((2, 2, 4))), noise,
-                           init_states=init, n_lo=3, n_hi=7)
-    assert ens.grid.t0 == pytest.approx(0.3)
-    assert ens.states.shape == (2, 2, 5)
-    assert np.allclose(ens.states[:, :, -1], 0.5 + 0.4, atol=1e-12)
+    noise = NoiseBundle(seed=10, n_paths=2, n_particles=3, grid=grid)
+
+    # the window's step and nodes are the parent's, bit for bit
+    first = noise.window(0, 3)
+    assert first.grid.dt == grid.dt
+    assert np.array_equal(first.grid.nodes, grid.nodes[:4])
+
+    window = noise.window(3, 7)
+    assert window.grid.n_steps == 4 and window.grid.dt == grid.dt
+    assert np.array_equal(window.grid.nodes, grid.nodes[3:8])
+    # the increments are views on the parent's, per-step slices contiguous
+    assert np.shares_memory(window.dW, noise.dW)
+    assert np.shares_memory(window.dW_common, noise.dW_common)
+    assert np.array_equal(window.dW, noise.dW[:, :, 3:7])
+    assert_steps_contiguous(window.dW)
+
+    # Euler on the window: exact linear motion, and the same states as steps
+    # 3..7 of a simulation on the parent grid started from its node-3 states
+    spec = simple_spec(b0=1.0, b1=-0.5, s0=0.3, st0=0.2)
+    init = np.full((2, 3), 0.5)
+    drift_only = simulate_forward(simple_spec(b0=1.0), OpenLoopControl(np.zeros((2, 3, 4))),
+                                  window, init_states=init)
+    assert drift_only.grid is window.grid
+    assert np.allclose(drift_only.states[:, :, -1], 0.5 + 0.4, atol=1e-12)
+    full = simulate_forward(spec, OpenLoopControl(np.zeros((2, 3, 10))), noise,
+                            init_states=init)
+    part = simulate_forward(spec, OpenLoopControl(np.zeros((2, 3, 4))), window,
+                            init_states=full.states[:, :, 3])
+    assert np.array_equal(part.states, full.states[:, :, 3:8])
+
+    # a frozen flow must lie on the noise's grid
+    with pytest.raises(SimulationError, match="frozen flow"):
+        simulate_forward(spec, OpenLoopControl(np.zeros((2, 3, 4))), window,
+                         init_states=init, frozen_flow=full.flow)
+    with pytest.raises(SimulationError, match="frozen flow"):
+        simulate_forward(spec, OpenLoopControl(np.zeros((2, 3, 4))), window,
+                         init_states=init, frozen_flow=constant_flow(0.0, TimeGrid(0.4, 4), 2))
 
 
 def test_particle_arrays_are_stored_time_major():

@@ -109,6 +109,24 @@ def test_conditional_law_examples():
     assert second_moment(m) == 5.0
 
 
+def test_flow_rejects_nodes_and_paths_out_of_range():
+    grid = TimeGrid(1.0, 3)
+    atoms = np.arange(2 * 3 * 4, dtype=float).reshape(2, 3, 4)
+    flow = MeasureFlow(atoms=atoms, grid=grid)
+    assert np.array_equal(flow.measure(3, 1).atoms, atoms[1, :, 3])
+    assert np.array_equal(flow.at(0).atoms, atoms[:, :, 0])
+    # a negative node must not wrap to the last one, a node past the end must
+    # not surface as a raw IndexError
+    for n in (-1, 4, 9):
+        with pytest.raises(MeasureError, match="node"):
+            flow.at(n)
+        with pytest.raises(MeasureError, match="node"):
+            flow.measure(n, 0)
+    for j in (-1, 2):
+        with pytest.raises(MeasureError, match="path"):
+            flow.measure(0, j)
+
+
 def test_conditional_law_dirac_with_zero_idiosyncratic_noise():
     # no individual noise, identical starts: the per-path law is a Dirac at the
     # single-path solution driven by the common increments
