@@ -1,15 +1,17 @@
 """Command-line harness: solve, validate, compare-oracle, nash.
 
 Exit codes: 0 success, 1 solver failure, 2 configuration error, 3 assumption
-validation failure.  Every run is reproducible bit for bit from (config, seed);
-artifacts are CSV time series plus one JSON summary, each carrying the config
-hash and seed in a header line.
+validation failure.  Every run is reproducible bit for bit from (config, seed).
+``solve`` writes its solution arrays to ``solution.npz``, which ``--resume``
+reads back bit for bit; series are CSV and summaries JSON.  Every artifact
+carries the config hash and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from .model import (cost_functional, get_preset, preset_names, sufficient_condit
                     validate_assumptions)
 from .mfg_solvers import solve_continuation, solve_scaled_fbsde, solve_stitched
 from .nplayer import FeedbackStrategy, gap_versus_n, population_cost_convergence
-from .records import RunConfig, RunWriter, SolverReport, adjoint_rows, ensemble_rows, timer
+from .records import RunConfig, RunWriter, SolverReport, timer
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -40,7 +42,7 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None, help="override the output directory")
         if name == "solve":
             cmd.add_argument("--resume", action="store_true",
-                             help="warm-start from the controls of a previous run in the output directory")
+                             help="warm-start from the controls in solution.npz of the output directory")
     return parser
 
 
@@ -65,16 +67,21 @@ def _setup(cfg: RunConfig):
     return preset, grid, noise, cfg.law()
 
 
-def _load_resume_controls(cfg: RunConfig) -> np.ndarray | None:
-    path = Path(cfg.output_dir) / "ensemble.csv"
-    if not path.exists():
-        return None
-    data = np.loadtxt(path, delimiter=",", skiprows=2)
-    expected = cfg.n_common * cfg.n_particles * cfg.n_steps
-    if data.shape[0] != expected:
-        raise ConfigError("resume artifact does not match the configured ensemble layout",
-                          field="resume")
-    return data[:, 4].reshape(cfg.n_common, cfg.n_particles, cfg.n_steps)
+def _load_resume_controls(cfg: RunConfig) -> np.ndarray:
+    path = Path(cfg.output_dir) / "solution.npz"
+    # np.load's failures: no file, an empty one, a bare .npy array, no zip,
+    # no controls entry, an object array
+    try:
+        with np.load(path) as archive:
+            controls = archive["controls"]
+    except (OSError, EOFError, TypeError, ValueError, KeyError, zipfile.BadZipFile) as err:
+        raise ConfigError(f"cannot read controls from {path}: {err}", field="resume") from err
+    expected = (cfg.n_common, cfg.n_particles, cfg.n_steps)
+    if (controls.dtype != np.float64 or controls.shape != expected
+            or not np.isfinite(controls).all()):
+        raise ConfigError(f"controls in {path} are {controls.dtype} {controls.shape}; the "
+                          f"run needs finite float64 {expected}", field="resume")
+    return controls
 
 
 def _frozen_flow(cfg: RunConfig, preset, noise, xi0):
@@ -100,7 +107,7 @@ def cmd_solve(args) -> int:
     method = cfg.method
     if u0 is not None:
         # resuming re-solves the fully coupled system warm-started from the
-        # stored controls; a converged run needs at most one more outer sweep
+        # stored controls; a converged run needs one more sweep
         method = "resume-direct"
         bundle = solve_scaled_fbsde(preset.spec, 1.0, xi0, None, noise, u0=u0,
                                     tol=tol, max_iter=cfg.max_iter)
@@ -137,10 +144,8 @@ def cmd_solve(args) -> int:
                "regression_r2_min": (float(np.min(bundle.diagnostics["r_squared"]))
                                      if "r_squared" in bundle.diagnostics else None)},
     )
-    writer.csv("ensemble.csv", ["path", "particle", "step", "state", "control"],
-               ensemble_rows(bundle))
-    writer.csv("adjoint.csv", ["path", "particle", "step", "p", "q", "q_tilde"],
-               adjoint_rows(bundle))
+    writer.npz("solution.npz", states=bundle.states, controls=bundle.controls, p=bundle.p,
+               q=bundle.q, q_tilde=bundle.q_tilde)
     writer.csv("residuals.csv", ["iteration", "residual"],
                np.column_stack([np.arange(len(bundle.residual_history)), bundle.residual_history]))
     means = bundle.flow.means

@@ -101,7 +101,8 @@ class NoiseBundle:
     n_particles, grid); they are never persisted.  Generation is keyed per
     (channel, path) block of a counter-based stream, so parallel generation by
     path reproduces the serial result bit for bit.  ``dW[j, k, n]`` is stored
-    time-major; ``from_arrays`` builds a bundle around given increments.
+    time-major; ``from_arrays`` builds a bundle around given increments.  Both
+    are read-only: they are the solvers' common random numbers.
     """
 
     seed: int
@@ -123,8 +124,8 @@ class NoiseBundle:
             draws = _block_rng(self.seed, _CH_IDIOSYNCRATIC, j).standard_normal((k, n))
             np.multiply(draws.T, root, out=dw[j].T)
             dwc[j] = _block_rng(self.seed, _CH_COMMON, j).standard_normal(n) * root
-        self.dW = dw
-        self.dW_common = dwc
+        dw.flags.writeable = dwc.flags.writeable = False
+        self.dW, self.dW_common = dw, dwc
 
     @classmethod
     def from_arrays(cls, seed: int, grid: TimeGrid, dW: np.ndarray,
@@ -135,8 +136,9 @@ class NoiseBundle:
         keys the initial-state draws.  ``meta()`` marks the increments as given
         and carries their digest, so it describes the noise the bundle holds.
         """
-        dW = time_major(dW)
-        dW_common = np.asarray(dW_common, dtype=float)
+        # read-only views: the caller's arrays keep their flags
+        dW, dW_common = time_major(dW).view(), np.asarray(dW_common, dtype=float).view()
+        dW.flags.writeable = dW_common.flags.writeable = False
         m, k, n = dW.shape
         if dW_common.shape != (m, n) or n != grid.n_steps:
             raise SimulationError(

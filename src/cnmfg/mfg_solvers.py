@@ -162,7 +162,7 @@ def solve_continuation(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle,
     with those inputs warm-started from the iterate, measure the solution-norm
     distance.  eta is halved when the observed ratio reaches 0.9 (and the step
     retried), doubled back toward eta0 after two clean steps, and the solver
-    stalls out below eta = 1e-3.
+    stalls out below eta = 1e-3.  An inner SolverError fails the step too.
     """
     grid = noise.grid
     inner_tol = inner_tol if inner_tol is not None else max(tol / 5.0, 1e-7)
@@ -180,10 +180,15 @@ def solve_continuation(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle,
         converged = False
         # contraction iteration at fixed (gamma, eta); final step gets the tight tolerance
         step_tol = tol if state.gamma + eta >= 1.0 - 1e-12 else 4.0 * tol
+        failure = None
         for it in range(max_picard):
             inputs = _coefficient_inputs(spec, iterate, eta, zero)
-            nxt = solve_scaled_fbsde(spec, state.gamma, xi0, inputs, noise,
-                                     u0=iterate.controls, tol=inner_tol, max_iter=max_iter_inner)
+            try:
+                nxt = solve_scaled_fbsde(spec, state.gamma, xi0, inputs, noise,
+                                         u0=iterate.controls, tol=inner_tol, max_iter=max_iter_inner)
+            except SolverError as err:      # an inner cap or flow divergence fails the step
+                failure = err
+                break
             d = solution_distance(nxt, iterate)
             distances.append(d)
             iterate = nxt
@@ -206,9 +211,11 @@ def solve_continuation(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle,
             state.eta = eta / 2.0
             clean_streak = 0
             if state.eta < 1e-3:
-                raise SolverError("continuation stalled: step size underflow",
-                                  history={"schedule": state.schedule(),
-                                           "last_distances": distances})
+                raise SolverError(f"continuation stalled: step size underflow; last failure: "
+                                  f"{failure or 'no contraction'}",
+                                  history={**getattr(failure, "history", {}),
+                                           "schedule": state.schedule(),
+                                           "last_distances": distances}) from failure
     return state.bundle, state
 
 
@@ -292,12 +299,6 @@ def interval_best_response(spec: ModelSpec, u_hat: np.ndarray, n_lo: int, n_hi: 
                         frozen_flow=hat_ens.flow, u0=u_hat, tol=inner_tol, max_iter=max_iter)
 
 
-class _ContractionFailure(Exception):
-    def __init__(self, distances):
-        super().__init__("interval map failed to contract")
-        self.distances = distances
-
-
 def _interval_fixed_point(spec, u_start, n_lo, n_hi, init_states, terminal, noise,
                           tol, inner_tol, max_fp_iter):
     dt = noise.grid.dt
@@ -315,8 +316,9 @@ def _interval_fixed_point(spec, u_start, n_lo, n_hi, init_states, terminal, nois
             ratio = _observed_ratio(distances, floor=5.0 * tol)
             return bundle, distances, ratio
         if len(distances) >= 4 and distances[-1] >= 0.98 * distances[-2] >= 0.98 ** 2 * distances[-3]:
-            raise _ContractionFailure(distances)
-    raise _ContractionFailure(distances)
+            break
+    raise SolverError(f"interval map on steps [{n_lo}, {n_hi}) failed to contract "
+                      f"(last distance {distances[-1]:.3e})", history={"distances": distances})
 
 
 @dataclass
@@ -340,15 +342,15 @@ def solve_stitched(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle, *,
     times the horizon.  A backward pass solves each interval's fixed point
     (rightmost first, terminal cost gradient at the right end, fitted fields
     further left) from provisional boundary states; a forward pass re-solves
-    every interval from achieved states and concatenates controls.  Interval
-    contraction failure halves the interval length and restarts, up to
-    ``max_halvings`` times.
+    every interval from achieved states and concatenates controls.  Any
+    SolverError in a pass (no contraction, an inner cap, a non-monotone field)
+    halves the interval length and restarts, up to ``max_halvings`` times.
     """
     n = noise.grid.n_steps
     inner_tol = max(tol / 5.0, 1e-7)
     frac = interval_fraction
     init_full = noise.initial_states(xi0)
-    last: list = []
+    failure = None
 
     for halving in range(max_halvings + 1):
         n_intervals = max(1, math.ceil(1.0 / frac))
@@ -358,11 +360,11 @@ def solve_stitched(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle, *,
         try:
             return _run_stitch(spec, xi0, noise, bounds, tol, inner_tol, max_fp_iter,
                                global_passes, init_full, halving, u0)
-        except _ContractionFailure as fail:
+        except SolverError as err:
             frac /= 2.0
-            last = fail.distances
-    raise SolverError(f"interval fixed point failed to contract after {max_halvings} halvings",
-                      history={"last_distances": last})
+            failure = err
+    raise SolverError(f"interval fixed point failed to contract after {max_halvings} halvings; "
+                      f"last failure: {failure}", history=failure.history) from failure
 
 
 def _run_stitch(spec, xi0, noise, bounds, tol, inner_tol, max_fp_iter, global_passes,

@@ -199,7 +199,7 @@ def nash_gap(spec: ModelSpec, strategy: FeedbackStrategy, n_players: int, grid: 
     # replica is that replica's player 1
     dev_seed = seed + 10_000_019
     seeded = NoiseBundle(seed=dev_seed, n_paths=n_replicas, n_particles=n_copies, grid=grid)
-    dW, init_states = seeded.dW, seeded.initial_states(xi0)
+    dW, init_states = seeded.dW.copy(order="K"), seeded.initial_states(xi0)
     for r, run in enumerate(runs):
         dW[r, 0] = run.noise.dW[0, 0]
         init_states[r, 0] = run.states[0, 0]
@@ -262,7 +262,8 @@ def population_cost_convergence(spec: ModelSpec, strategy: FeedbackStrategy, n_p
         run = simulate_nplayer(spec, strategy, n_players, grid, xi0, int(seed),
                                mean_source="limit")
         big_seed = int(seed) + 50_000_017
-        dW = NoiseBundle(seed=big_seed, n_paths=1, n_particles=proxy_particles, grid=grid).dW
+        dW = NoiseBundle(seed=big_seed, n_paths=1, n_particles=proxy_particles,
+                         grid=grid).dW.copy(order="K")
         dW[0, :n_players] = run.noise.dW[0]
         big = NoiseBundle.from_arrays(big_seed, grid, dW, run.noise.dW_common)
         init = big.initial_states(xi0)

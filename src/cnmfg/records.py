@@ -1,7 +1,9 @@
 """Run configuration, artifact writers, and the solver report record.
 
-All artifacts are plain text: CSV for time series (every file carries a header
-line with the configuration hash and seed) and one JSON summary per run.
+A solve's arrays go to one ``.npz`` archive, read back bit for bit; series go
+to CSV and each run's summary to JSON.  Every artifact carries the
+configuration hash, seed and version: a header line in CSV, a ``provenance``
+entry in ``.npz``, a ``_provenance`` key in JSON.
 Configurations parse strictly: unknown keys are errors, because silently
 ignored tolerance typos are the classic failure of numerical harnesses.
 """
@@ -219,24 +221,29 @@ class SolverReport:
 
 
 class RunWriter:
-    """Writes run artifacts with a provenance header on every file."""
+    """Writes run artifacts, each carrying the provenance string of the run."""
 
     def __init__(self, out_dir: str | Path, config_hash: str, seed: int):
         self.dir = Path(out_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
-        self.header = f"# config_hash={config_hash} seed={seed} version={__version__}"
+        self.provenance = f"config_hash={config_hash} seed={seed} version={__version__}"
 
     def csv(self, name: str, columns: list[str], rows: np.ndarray, fmt: str = "%.10g"):
         path = self.dir / name
         with open(path, "w") as fh:
-            fh.write(self.header + "\n")
+            fh.write(f"# {self.provenance}\n")
             fh.write(",".join(columns) + "\n")
             np.savetxt(fh, np.atleast_2d(rows), delimiter=",", fmt=fmt)
         return path
 
+    def npz(self, name: str, **arrays: np.ndarray):
+        path = self.dir / name
+        np.savez(path, provenance=np.array(self.provenance), **arrays)
+        return path
+
     def json(self, name: str, payload: dict):
         path = self.dir / name
-        text = json.dumps({"_provenance": self.header.lstrip("# "), **payload},
+        text = json.dumps({"_provenance": self.provenance, **payload},
                           indent=2, sort_keys=True, default=_json_default)
         path.write_text(text + "\n")
         return path
@@ -250,25 +257,6 @@ def _json_default(obj):
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     raise TypeError(f"not JSON-serializable: {type(obj)}")
-
-
-def ensemble_rows(bundle) -> np.ndarray:
-    """Columnar (path, particle, step, state, control) rows for CSV export."""
-    m, k, n = bundle.controls.shape
-    j_idx, k_idx, n_idx = np.meshgrid(np.arange(m), np.arange(k), np.arange(n), indexing="ij")
-    return np.column_stack([
-        j_idx.ravel(), k_idx.ravel(), n_idx.ravel(),
-        bundle.states[:, :, :n].reshape(-1), bundle.controls.reshape(-1),
-    ])
-
-
-def adjoint_rows(bundle) -> np.ndarray:
-    m, k, n = bundle.q.shape
-    j_idx, k_idx, n_idx = np.meshgrid(np.arange(m), np.arange(k), np.arange(n), indexing="ij")
-    return np.column_stack([
-        j_idx.ravel(), k_idx.ravel(), n_idx.ravel(),
-        bundle.p[:, :, :n].reshape(-1), bundle.q.reshape(-1), bundle.q_tilde.reshape(-1),
-    ])
 
 
 def timer() -> float:

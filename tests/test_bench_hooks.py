@@ -1,9 +1,11 @@
-"""The benchmark's tracer still finds every package function it times.
+"""The benchmark's tracer still finds every package function it times, and its checks pass.
 
 ``bench/tracing.py`` hooks public ``cnmfg`` functions by name and binds some
 of their arguments by name; a hook whose target is renamed is skipped and its
-layer counter reads zero without any error.  These tests load the tracer from
-its file (read-only, no bytecode written) and fail on such a rename.
+layer counter reads zero without any error.  ``bench/workloads.py`` checks
+each operation's output, the CLI's through its report.  These tests load both
+from their files (read-only, no bytecode written) and fail on such a rename
+or on an artifact or report change that a workload check rejects.
 """
 
 import importlib
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # arguments the hooks' readers take from the bound call, per bound hook
 BOUND_ARGUMENTS = {
@@ -27,9 +29,8 @@ BOUND_ARGUMENTS = {
 MAY_BE_ZERO = {"nplayer.inconclusive"}
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _load_bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module       # dataclasses resolve annotations through it
     write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
@@ -39,6 +40,16 @@ def tracing():
         sys.dont_write_bytecode = write_bytecode
     yield module
     del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    yield from _load_bench_module("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    yield from _load_bench_module("workloads")
 
 
 def _resolve(target: str):
@@ -106,3 +117,17 @@ def test_every_layer_counter_moves_on_the_cli(tracing, tmp_path):
     zero = [name for name in tracing.COUNT_METRICS
             if name not in MAY_BE_ZERO and max(m[name] for m in metrics) == 0]
     assert zero == []
+
+
+def test_workload_checks_pass_on_tiny_operations(workloads, tmp_path):
+    # the three kinds of operation at toy sizes: a CLI solve, a CLI nash and a
+    # library direct solve; each check must find no problem
+    ops = [workloads.CliRun("tiny_solve", "solve", _tiny_config(tmp_path, "solve")),
+           workloads.CliRun("tiny_nash", "nash", _tiny_config(tmp_path, "nash")),
+           workloads.DirectSolve("tiny_direct", "lq", gamma=1.0, n_paths=8, n_particles=32,
+                                 n_steps=10, tol=2e-3, oracle=False, foc_bound=1e-2)]
+    for op in ops:
+        inputs = op.setup(11)
+        outcome = op.check(inputs, op.operation(inputs, tmp_path / op.name))
+        assert outcome.problems == [], op.name
+        assert outcome.fingerprint, op.name

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cnmfg.cli import main
@@ -60,42 +61,107 @@ def test_unknown_preset_is_exit_code_two(tmp_path, capsys):
     assert "'kapa'" in err and "(field: preset_params)" in err
 
 
+SOLUTION_KEYS = ("states", "controls", "p", "q", "q_tilde")
+
+
+def load_solution(out: Path) -> dict:
+    with np.load(out / "solution.npz") as archive:
+        return {key: archive[key] for key in archive.files}
+
+
 def test_solve_artifacts_and_determinism(tmp_path, capsys):
     path = write_config(tmp_path / "cfg.json")
     out = tmp_path / "out"
     assert main(["solve", "--config", str(path)]) == 0
     files = {p.name for p in out.iterdir()}
-    assert {"ensemble.csv", "adjoint.csv", "residuals.csv", "conditional_means.csv",
-            "report.json", "riccati.csv"} <= files
-    # provenance header on every artifact
-    for name in ("ensemble.csv", "residuals.csv"):
-        first = (out / name).read_text().splitlines()[0]
-        assert first.startswith("# config_hash=") and "seed=42" in first
+    assert files == {"solution.npz", "residuals.csv", "conditional_means.csv", "report.json",
+                     "riccati.csv"}
+    # provenance on every artifact
+    first = (out / "residuals.csv").read_text().splitlines()[0]
+    assert first.startswith("# config_hash=") and "seed=42" in first
+    sol1 = load_solution(out)
+    provenance = str(sol1.pop("provenance"))
+    assert provenance.startswith("config_hash=") and "seed=42" in provenance
+    # every array at every node, in [j, k, n] order
+    assert set(sol1) == set(SOLUTION_KEYS)
+    assert sol1["states"].shape == sol1["p"].shape == (8, 32, 21)
+    for key in ("controls", "q", "q_tilde"):
+        assert sol1[key].shape == (8, 32, 20) and sol1[key].dtype == np.float64
 
-    ens1 = (out / "ensemble.csv").read_bytes()
     rep1 = json.loads((out / "report.json").read_text())
-    # bit-for-bit reproducibility, wall clock aside
+    # bit-for-bit reproducibility, wall clock aside; the arrays are compared
+    # rather than the archive bytes, whose zip members carry timestamps
     assert main(["solve", "--config", str(path)]) == 0
-    ens2 = (out / "ensemble.csv").read_bytes()
+    sol2 = load_solution(out)
     rep2 = json.loads((out / "report.json").read_text())
-    assert ens1 == ens2
+    assert all(np.array_equal(sol1[key], sol2[key]) for key in SOLUTION_KEYS)
     rep1.pop("wall_clock_seconds"), rep2.pop("wall_clock_seconds")
     assert rep1 == rep2
 
     # the output directory must not change results
     out2 = tmp_path / "out2"
     assert main(["solve", "--config", str(path), "--out", str(out2)]) == 0
-    assert (out2 / "ensemble.csv").read_bytes() == ens1
+    sol3 = load_solution(out2)
+    assert str(sol3["provenance"]) == provenance
+    assert all(np.array_equal(sol1[key], sol3[key]) for key in SOLUTION_KEYS)
 
 
 def test_solve_resume_converges_immediately(tmp_path):
+    # a converged run reloads its controls bit for bit, so one sweep reproduces it
     path = write_config(tmp_path / "cfg.json")
     out = tmp_path / "out"
     assert main(["solve", "--config", str(path)]) == 0
+    stored = json.loads((out / "report.json").read_text())
+    stored_solution = load_solution(out)
     assert main(["solve", "--config", str(path), "--resume"]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["method"] == "resume-direct"
-    assert report["extra"]["iterations"] <= 2
+    assert report["extra"]["iterations"] == 1
+    assert report["residual_history"] == stored["residual_history"][-1:]
+    assert report["solution_norm"] == stored["solution_norm"]
+    assert report["extra"]["cost"] == stored["extra"]["cost"]
+    resumed = load_solution(out)
+    assert all(np.array_equal(resumed[key], stored_solution[key]) for key in SOLUTION_KEYS)
+
+
+@pytest.mark.parametrize("case", ["missing", "text", "empty", "npy", "truncated", "no_controls",
+                                  "object", "integer", "float32", "nan", "shape"])
+def test_resume_rejects_a_bad_archive(tmp_path, capsys, case):
+    path = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    archive = out / "solution.npz"
+    good = np.zeros((8, 32, 20))
+    if case == "text":
+        archive.write_text("path,particle,step,state,control\n0,0,0,1.0,0.5\n")
+    elif case == "empty":
+        archive.write_bytes(b"")
+    elif case == "npy":
+        with open(archive, "wb") as fh:
+            np.save(fh, good)
+    elif case == "truncated":
+        np.savez(archive, controls=good)
+        archive.write_bytes(archive.read_bytes()[:200])
+    elif case == "no_controls":
+        np.savez(archive, states=good)
+    elif case == "object":
+        np.savez(archive, controls=np.array([None, 1.0], dtype=object))
+    elif case == "integer":
+        np.savez(archive, controls=np.zeros((8, 32, 20), dtype=int))
+    elif case == "float32":
+        np.savez(archive, controls=good.astype(np.float32))
+    elif case == "nan":
+        bad = good.copy()
+        bad[0, 0, 0] = np.nan
+        np.savez(archive, controls=bad)
+    elif case == "shape":
+        np.savez(archive, controls=np.zeros((8, 32, 19)))
+    assert main(["solve", "--config", str(path), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "solution.npz" in err
+    assert "(field: resume)" in err and "Traceback" not in err
+    # a failed resume never falls back to a fresh solve
+    assert not (out / "report.json").exists()
 
 
 def test_solver_methods_run(tmp_path):

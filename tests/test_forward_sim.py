@@ -292,3 +292,18 @@ def test_noise_bundle_from_arrays():
     assert meta["digest"] != NoiseBundle.from_arrays(13, grid, seeded.dW, dwc).meta()["digest"]
     with pytest.raises(SimulationError):
         NoiseBundle.from_arrays(13, grid, dW, dwc[:, :5])
+
+
+def test_noise_is_read_only():
+    # the solvers' common random numbers: nothing may write into them
+    grid = TimeGrid(1.0, 10)
+    seeded = NoiseBundle(seed=14, n_paths=3, n_particles=4, grid=grid)
+    dW, dwc = seeded.dW.copy(order="K"), seeded.dW_common.copy()
+    given = NoiseBundle.from_arrays(14, grid, dW, dwc)
+    for bundle in (seeded, given, seeded.window(2, 6), given.window(0, 5)):
+        for array in (bundle.dW, bundle.dW_common):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+    # the flag sits on a view: the caller's arrays stay writable
+    dW[0, 0, 0] = dwc[0, 0] = 0.0
+    assert given.dW[0, 0, 0] == 0.0 and given.dW_common[0, 0] == 0.0

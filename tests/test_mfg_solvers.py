@@ -277,3 +277,27 @@ def test_stitching_halving_exhaustion_error():
     noise = small_noise(m=6, k=16, n=16)
     with pytest.raises(SolverError, match="failed to contract"):
         solve_stitched(preset.spec, XI0, noise, tol=1e-12, max_fp_iter=1, max_halvings=2)
+
+
+def test_continuation_inner_failure_halves_eta():
+    # one sweep per inner solve hits the inner cap on every stage; each such
+    # failure halves eta until the step size underflows, and the stall error
+    # carries the inner failure's message and history
+    preset = get_preset("lq")
+    noise = small_noise(m=6, k=16, n=10)
+    with pytest.raises(SolverError, match="continuation stalled") as err:
+        solve_continuation(preset.spec, XI0, noise, max_iter_inner=1)
+    assert "did not converge in 1 sweeps" in str(err.value)
+    assert len(err.value.history["residuals"]) == 1
+    assert err.value.history["schedule"] == []
+
+
+def test_stitched_inner_failure_halves_intervals():
+    # strong drift coupling with a cheap control: on quarter-horizon intervals
+    # an inner solve hits its sweep cap, on eighths an interval map stalls, and
+    # both failures halve the intervals until sixteenths converge
+    preset = get_preset("lq_drift_coupled", {"b2": 3.0, "cu": 0.2})
+    noise = small_noise(seed=3, m=8, k=32, n=20)
+    bundle, report = solve_stitched(preset.spec, XI0, noise, tol=1e-3)
+    assert report.halvings == 2
+    assert bundle.residual_history[-1] <= 1e-3

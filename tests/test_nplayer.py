@@ -102,12 +102,13 @@ def test_gap_positive_at_small_n_with_strong_coupling():
     runs = [simulate_nplayer(firm.spec, strat, 2, GRID, XI0, seed=3 + 613 * r,
                              mean_source="limit") for r in range(24)]
     frozen = MeasureFlow(atoms=np.stack([r.states for r in runs]), grid=GRID)
-    dev_noise = NoiseBundle(seed=3 + 10_000_019, n_paths=24, n_particles=2, grid=GRID)
-    dev_noise.dW_common = np.concatenate([r.noise.dW_common for r in runs], axis=0)
-    init = dev_noise.initial_states(XI0)
+    seeded = NoiseBundle(seed=3 + 10_000_019, n_paths=24, n_particles=2, grid=GRID)
+    dW, init = seeded.dW.copy(order="K"), seeded.initial_states(XI0)
     for r, run in enumerate(runs):
-        dev_noise.dW[r, 0] = run.noise.dW[0, 0]
+        dW[r, 0] = run.noise.dW[0, 0]
         init[r, 0] = run.states[0, 0]
+    dev_noise = NoiseBundle.from_arrays(seeded.seed, GRID, dW,
+                                        np.concatenate([r.noise.dW_common for r in runs], axis=0))
     limit_matrix = np.stack([r.limit_means for r in runs])
     base_rule = strat.control_rule()
 
