@@ -1,9 +1,9 @@
 """Backward solve and the coupled forward-backward fixed point for a frozen flow.
 
 The backward recursion estimates conditional expectations by least-squares
-regression per common path over that path's particles (polynomial basis in the
-particle state; the conditional law enters only through the frozen flow).  Two
-common-noise specifics matter:
+regression per common path over that path's particles (basis [1, z, z^2] in
+the standardized particle state; the conditional law enters only through the
+frozen flow).  Two common-noise specifics matter:
 
 * the common increment is constant within a path, so the per-path fit of the
   next adjoint slice absorbs the common-noise martingale term; the common
@@ -13,6 +13,13 @@ common-noise specifics matter:
   conditional expectation;
 * the idiosyncratic loading is regressed from fit residuals times the own
   increments, which keeps its variance at the increment scale.
+
+Only the products with the next adjoint slice depend on the recursion.  A step
+builds its basis as one (path, basis, particle) block and inverts its ridged
+Gram matrices once for both fits; if its states all coincide, z = 0, which
+under the ridge is the intercept-only fit.  The cross-path design reads only
+flow and noise, so two batched solves build it for all steps up front.  The
+loop reduces with einsum and ufuncs: a long BLAS dot wakes spinning threads.
 
 The coupled solve iterates: simulate forward under the current control, solve
 backward, replace the control by the pointwise Hamiltonian minimizer, with
@@ -119,8 +126,8 @@ class SolutionBundle:
 def solution_norm(bundle: SolutionBundle) -> float:
     """Discrete solution-process norm: sup of (X, p), time integral of (u, q, q_tilde)."""
     sup_part = np.max(bundle.states ** 2 + bundle.p ** 2, axis=2)
-    int_part = np.sum(bundle.controls ** 2 + bundle.q ** 2 + bundle.q_tilde ** 2, axis=2) * bundle.grid.dt
-    return float(np.sqrt(np.mean(sup_part) + np.mean(int_part)))
+    int_part = np.sum(bundle.controls ** 2 + bundle.q ** 2 + bundle.q_tilde ** 2) * bundle.grid.dt
+    return float(np.sqrt(np.mean(sup_part) + int_part / sup_part.size))
 
 
 def solution_distance(b1: SolutionBundle, b2: SolutionBundle) -> float:
@@ -129,13 +136,13 @@ def solution_distance(b1: SolutionBundle, b2: SolutionBundle) -> float:
         raise SolverError("bundles are not on a common grid")
     sup_part = np.max((b1.states - b2.states) ** 2 + (b1.p - b2.p) ** 2, axis=2)
     int_part = np.sum((b1.controls - b2.controls) ** 2 + (b1.q - b2.q) ** 2
-                      + (b1.q_tilde - b2.q_tilde) ** 2, axis=2) * b1.grid.dt
-    return float(np.sqrt(np.mean(sup_part) + np.mean(int_part)))
+                      + (b1.q_tilde - b2.q_tilde) ** 2) * b1.grid.dt
+    return float(np.sqrt(np.mean(sup_part) + int_part / sup_part.size))
 
 
 def control_rms(table: np.ndarray, dt: float, horizon: float) -> float:
     """Time-space rms of a control table (the unit solver tolerances are stated in)."""
-    return float(np.sqrt(np.mean(np.sum(table ** 2, axis=2)) * dt / horizon))
+    return float(np.sqrt(np.sum(table ** 2) / (table.size / table.shape[2]) * dt / horizon))
 
 
 def first_order_residual(spec: ModelSpec, bundle: SolutionBundle) -> float:
@@ -159,6 +166,57 @@ def first_order_residual(spec: ModelSpec, bundle: SolutionBundle) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _fit_maps(design: np.ndarray) -> np.ndarray:
+    """Least-squares maps (step, col, path) of stacked (step, path, col) designs."""
+    # normal equations in unit-norm columns; an absent (zero) column gets 1 on
+    # its Gram diagonal, so its coefficient is exactly 0
+    norms = np.sqrt(np.einsum("njc,njc->nc", design, design))
+    absent = norms == 0.0
+    scale = 1.0 / np.where(absent, 1.0, norms)
+    scaled = design * scale[:, None, :]
+    gram = np.einsum("njc,njd->ncd", scaled, scaled)
+    gram += absent[:, :, None] * np.eye(design.shape[2])
+    return scale[:, :, None] * np.linalg.solve(gram, scaled.transpose(0, 2, 1))
+
+
+def _cross_path_design(spec: ModelSpec, flow: MeasureFlow, noise: NoiseBundle,
+                       gate_plan: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Each step's cross-path design and its least-squares map, zero below 4 paths.
+
+    The columns are [1, mb, dwc, mb * dwc, z2, mb * z2]; an absent one is zero.
+    """
+    m, span = flow.n_paths, noise.grid.n_steps
+    design = np.zeros((span, m, 6))
+    if m < 4:
+        return design, np.zeros((span, 6, m))
+    mbar = flow.means[:, :-1].T
+    dm = np.diff(flow.means, axis=1).T
+    design[:, :, 0] = 1.0
+    design[:, :, 2] = noise.dW_common.T
+    # the flow-mean covariate is a structural choice: for models whose
+    # coefficients and costs never read the conditional law it would be a
+    # pure noise column leaking the flow into decoupled problems
+    mb_sd = mbar.std(axis=1)
+    live = (mb_sd > 1e-12) & (spec.measure_coupled and m >= 6)
+    design[live, :, 1] = (mbar[live] - mbar[live].mean(axis=1, keepdims=True)) / mb_sd[live, None]
+    design[:, :, 3] = design[:, :, 1] * design[:, :, 2]
+    # flow-mean innovation orthogonalized against the common increment;
+    # included only when it carries real unexplained variance (at large
+    # particle counts it is noise and would only inflate the fit)
+    base = design[:, :, :4]
+    z2 = dm - np.einsum("njc,nc->nj", base, np.einsum("ncj,nj->nc", _fit_maps(base), dm))
+    dm_var, z2_var = dm.var(axis=1), z2.var(axis=1)
+    if gate_plan:
+        use_z2 = np.array([gate_plan.get(("z2", n), False) for n in range(span)])
+    else:
+        use_z2 = (dm_var > 1e-300) & (z2_var > 0.05 * dm_var)
+    use_z2 &= (z2_var > 1e-300) & (m >= 8)
+    gate_plan.update({("z2", n): bool(use_z2[n]) for n in range(span)})
+    design[use_z2, :, 4] = z2[use_z2]
+    design[:, :, 5] = design[:, :, 1] * design[:, :, 4]
+    return design, _fit_maps(design)
+
+
 def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: MeasureFlow,
                              terminal: TerminalCondition, noise: NoiseBundle,
                              *, gamma: float = 1.0, input_f: np.ndarray | None = None,
@@ -174,12 +232,10 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
     span = grid.n_steps
     dt = grid.dt
     nodes = grid.nodes
-    # covariate-selection decisions are recorded per step on the first pass and
-    # reused on later sweeps of the same solve, keeping the control-to-control
-    # map continuous (flipping gates mid-iteration creates limit cycles)
-    freeze_gates = gate_plan is not None and len(gate_plan) > 0
-    if gate_plan is None:
-        gate_plan = {}
+    # gates are decided on the first pass and reused on later sweeps of the
+    # same solve, keeping the control-to-control map continuous (flipping
+    # gates mid-iteration creates limit cycles)
+    design, fit_maps = _cross_path_design(spec, flow, noise, {} if gate_plan is None else gate_plan)
 
     p = particle_array(m, k, span + 1)
     q = particle_array(m, k, span)
@@ -189,40 +245,36 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
         terminal_values = terminal_values + input_g
     p[:, :, span] = terminal_values
 
-    eye3 = np.eye(3)
+    basis = np.empty((m, 3, k))          # rows [1, z, z^2] of each path
+    basis[:, 0] = 1.0
+    ridge = (1e-9 * k) * np.eye(3)
     r2 = np.empty(span)
-    warnings: list[str] = []
+    warnings = [] if m >= 4 else ["common-noise loading set to zero: fewer than 4 common paths"]
     degenerate_steps = 0
+
+    def fit(gram_inv, values):
+        """Per-path ridge coefficients of ``values`` on the basis."""
+        return np.einsum("jab,jb->ja", gram_inv, np.einsum("jbk,jk->jb", basis, values))
 
     for n in range(span - 1, -1, -1):
         t = nodes[n]
         x = states[:, :, n]
         y = p[:, :, n + 1]
-        dw = noise.dW[:, :, n]
-        dwc = noise.dW_common[:, n]
 
         mu, sd = float(x.mean()), float(x.std())
-        degenerate = sd < 1e-10 * (1.0 + abs(mu))
-        if degenerate:
+        if sd < 1e-10 * (1.0 + abs(mu)):
+            # z = 0: under the ridge this is the intercept-only fit
             degenerate_steps += 1
-            psi = np.ones((m, k, 1))
-            eye = np.eye(1)
+            basis[:, 1] = 0.0
         else:
-            z = (x - mu) / sd
-            psi = np.empty((m, k, 3))
-            psi[:, :, 0] = 1.0
-            psi[:, :, 1] = z
-            psi[:, :, 2] = z * z
-            eye = eye3
-
-        psi_t = psi.transpose(0, 2, 1)
-        gram = psi_t @ psi + (1e-9 * k) * eye
-        coef = np.linalg.solve(gram, psi_t @ y[..., None])[..., 0]
-        fitted = (psi @ coef[..., None])[..., 0]
-        resid = y - fitted
-
-        coef_q = np.linalg.solve(gram, psi_t @ (resid * dw / dt)[..., None])[..., 0]
-        q_val = (psi @ coef_q[..., None])[..., 0]
+            np.subtract(x, mu, out=basis[:, 1])
+            basis[:, 1] /= sd
+        np.square(basis[:, 1], out=basis[:, 2])
+        gram_inv = np.linalg.inv(np.einsum("jak,jbk->jab", basis, basis) + ridge)
+        coef = fit(gram_inv, y)
+        resid = y - np.einsum("jbk,jb->jk", basis, coef)
+        q_val = np.einsum("jbk,jb->jk", basis, fit(gram_inv, resid * noise.dW[:, :, n]) / dt,
+                          out=q[:, :, n])
 
         # Environment loadings: the common increment (and, at finite particle
         # counts, the flow-mean innovation it does not explain) are constant
@@ -230,59 +282,17 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
         # the per-path fit coefficients.  The common-increment slope is the
         # common-noise loading; the full factor part is subtracted from the
         # fit to undo its anticipative conditioning on the realized increments.
-        if m >= 4:
-            mbar = flow.means[:, n]
-            dm = flow.means[:, n + 1] - mbar
-            mb_sd = float(mbar.std())
-            mb = None
-            # the flow-mean covariate is a structural choice: for models whose
-            # coefficients and costs never read the conditional law it would be
-            # a pure noise column leaking the flow into decoupled problems
-            if spec.measure_coupled and m >= 6 and mb_sd > 1e-12:
-                mb = (mbar - mbar.mean()) / mb_sd
-            cols = [np.ones(m)] + ([mb] if mb is not None else [])
-            factor_cols = [dwc] + ([mb * dwc] if mb is not None else [])
-            n_level = len(cols)
-            design_w = np.column_stack(cols + factor_cols)
-            use_z2 = gate_plan.get(("z2", n), False) if freeze_gates else False
-            z2 = None
-            if m >= 8:
-                # flow-mean innovation orthogonalized against the common increment;
-                # included only when it carries real unexplained variance (at large
-                # particle counts it is noise and would only inflate the fit)
-                z2_sol, *_ = np.linalg.lstsq(design_w, dm, rcond=None)
-                z2_cand = dm - design_w @ z2_sol
-                dm_var = float(np.var(dm))
-                if not freeze_gates:
-                    use_z2 = dm_var > 1e-300 and float(np.var(z2_cand)) > 0.05 * dm_var
-                if use_z2 and float(np.var(z2_cand)) > 1e-300:
-                    z2 = z2_cand
-            gate_plan[("z2", n)] = z2 is not None
-            if z2 is not None:
-                factor_cols = factor_cols + ([z2, mb * z2] if mb is not None else [z2])
-            design = np.column_stack(cols + factor_cols)
-            sol, *_ = np.linalg.lstsq(design, coef, rcond=None)
-            coef_qt = sol[n_level][None, :] + (mb[:, None] * sol[n_level + 1][None, :]
-                                               if mb is not None else 0.0)
-            coef_factors = design[:, n_level:] @ sol[n_level:]
-            qt_val = (psi @ coef_qt[..., None])[..., 0]
-            anticipative = (psi @ coef_factors[..., None])[..., 0]
-        else:
-            qt_val = np.zeros_like(q_val)
-            anticipative = np.zeros_like(q_val)
-            if n == span - 1:
-                warnings.append("common-noise loading set to zero: fewer than 4 common paths")
-
-        cond_exp = fitted - anticipative
+        sol = fit_maps[n] @ coef
+        qt_val = np.einsum("jbk,jb->jk", basis, sol[2] + design[n, :, 1, None] * sol[3],
+                           out=qt[:, :, n])
+        p_n = np.einsum("jbk,jb->jk", basis, coef - design[n, :, 2:] @ sol[2:], out=p[:, :, n])
 
         # H_x at p = 0: its b1 * p term is implicit, in the denominator below
-        rest = gamma * hamiltonian_dx(spec, t, x, 0.0, q_val, qt_val, controls[:, :, n],
-                                      flow.at(n))
+        p_n += (gamma * dt) * hamiltonian_dx(spec, t, x, 0.0, q_val, qt_val, controls[:, :, n],
+                                             flow.at(n))
         if input_f is not None:
-            rest = rest + input_f[:, :, n]
-        p[:, :, n] = (cond_exp + rest * dt) / (1.0 - gamma * spec.drift.phi1(t) * dt)
-        q[:, :, n] = q_val
-        qt[:, :, n] = qt_val
+            p_n += dt * input_f[:, :, n]
+        p_n /= 1.0 - gamma * spec.drift.phi1(t) * dt
 
         var_y = float(np.var(y))
         r2[n] = 1.0 - float(np.mean(resid ** 2)) / var_y if var_y > 1e-300 else 1.0
@@ -363,16 +373,19 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: TerminalConditio
 
         # convergence is measured on the undamped fixed-point gap, so a small
         # damping factor cannot fake progress
-        step_rms = control_rms(u_min - u, grid.dt, horizon)
+        step = np.subtract(u_min, u, out=u_min)
+        step_rms = control_rms(step, grid.dt, horizon)
         history.append(step_rms)
         if step_rms <= tol:
             diag = dict(back.diagnostics)
             diag["iterations"] = it + 1
             diag["damping_final"] = theta
+            # a live flow is handed out as a new view of the states, without
+            # the sorted atoms kept for the next sweep's distance
             bundle = SolutionBundle(
                 states=ens.states, controls=ens.controls, p=back.p, q=back.q,
-                q_tilde=back.q_tilde, flow=flow, grid=grid,
-                residual_history=history, diagnostics=diag)
+                q_tilde=back.q_tilde, grid=grid, residual_history=history, diagnostics=diag,
+                flow=flow if frozen_flow is not None else ens.flow)
             diag["first_order_residual"] = first_order_residual(spec, bundle)
             return bundle
 
@@ -392,7 +405,10 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: TerminalConditio
         if np.isfinite(prev_move) and move > 2.0 * prev_move:
             theta = 2.0 * prev_move / step_rms
             move = theta * step_rms
-        u = u + theta * (u_min - u)
+        # the damped iterate is built in the step's buffer: u is never written
+        step *= theta
+        step += u
+        u = step
         prev_step = step_rms
         prev_move = move
 

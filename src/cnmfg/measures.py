@@ -123,12 +123,15 @@ class MeasureFlow:
     ``atoms[j, :, n]`` holds the atoms of the measure for common path j at grid
     node n; the array is stored time-major (see ``particle_array``).  The atom
     count per measure is uniform but may differ from the particle count of an
-    ensemble the flow is compared against.
+    ensemble the flow is compared against.  Atoms are never written after a
+    flow is built, so its means and sorted atoms are computed once and kept: a
+    solver comparing each sweep's flow with the last sorts every flow once.
     """
 
     atoms: np.ndarray
     grid: "TimeGrid"
     _means: np.ndarray | None = field(default=None, repr=False)
+    _sorted: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=float)
@@ -166,8 +169,10 @@ class MeasureFlow:
         """Sup over (node, path) of the per-node Wasserstein distance; solver metric."""
         if self.atoms.shape[0] != other.atoms.shape[0] or self.atoms.shape[2] != other.atoms.shape[2]:
             raise MeasureError("measure flows are not on a common (path, node) layout")
-        a = np.sort(self.atoms, axis=1)
-        b = np.sort(other.atoms, axis=1)
+        for flow in (self, other):
+            if flow._sorted is None:
+                flow._sorted = np.sort(flow.atoms, axis=1)
+        a, b = self._sorted, other._sorted
         if a.shape[1] != b.shape[1]:
             common = math.lcm(a.shape[1], b.shape[1])
             if common > _MAX_REFINED_ATOMS:

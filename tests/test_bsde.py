@@ -11,7 +11,7 @@ from cnmfg.forward_sim import (InitialLaw, NoiseBundle, OpenLoopControl, TimeGri
                                simulate_forward)
 from cnmfg.measures import MeasureFlow, constant_flow
 from cnmfg.lq_oracle import oracle_solution
-from cnmfg.model import get_preset
+from cnmfg.model import get_preset, hamiltonian_dx
 
 from cnmfg.mfg_solvers import solve_stitched
 
@@ -246,3 +246,119 @@ def test_solution_arrays_are_stored_time_major():
     assert np.array_equal(from_c.controls, from_tm.controls)
     assert from_c.residual_history == from_tm.residual_history
     assert np.array_equal(start, oracle.controls)      # the caller's start is not written
+
+
+def _ridge_fit(basis, target, ridge):
+    """Ridge coefficients by lstsq on the augmented system [basis; sqrt(ridge) I]."""
+    b = basis.shape[1]
+    aug = np.vstack([basis, np.sqrt(ridge) * np.eye(b)])
+    return np.linalg.lstsq(aug, np.concatenate([target, np.zeros(b)]), rcond=None)[0]
+
+
+def _reference_backward(spec, ens, noise, terminal, plan):
+    """The backward pass written out plainly, one lstsq per path and per step.
+
+    ``plan`` maps a step to its z2 gate; a step missing from it is decided here
+    and recorded.
+    """
+    states, flow, grid = ens.states, ens.flow, noise.grid
+    m, k, n_nodes = states.shape
+    span, dt = n_nodes - 1, grid.dt
+    p, q, qt = np.zeros((m, k, n_nodes)), np.zeros((m, k, span)), np.zeros((m, k, span))
+    p[:, :, span] = terminal.evaluate(states[:, :, span], flow.at(span))
+    r2, degenerate = np.zeros(span), 0
+    for n in reversed(range(span)):
+        t, x, y = grid.nodes[n], states[:, :, n], p[:, :, n + 1]
+        if x.std() < 1e-10 * (1.0 + abs(x.mean())):
+            degenerate += 1
+            basis = np.ones((m, k, 1))
+        else:
+            z = (x - x.mean()) / x.std()
+            basis = np.stack([np.ones_like(z), z, z * z], axis=2)
+        coef = np.array([_ridge_fit(basis[j], y[j], 1e-9 * k) for j in range(m)])
+        resid = y - np.einsum("jkb,jb->jk", basis, coef)
+        coef_q = np.array([_ridge_fit(basis[j], resid[j] * noise.dW[j, :, n] / dt, 1e-9 * k)
+                           for j in range(m)])
+
+        # cross-path regression of the per-path coefficients
+        mbar = flow.means[:, n]
+        dm = flow.means[:, n + 1] - mbar
+        dwc = noise.dW_common[:, n]
+        if mbar.std() > 1e-12:
+            mb = (mbar - mbar.mean()) / mbar.std()
+            levels, factors = [np.ones(m), mb], [dwc, mb * dwc]
+        else:
+            mb = np.zeros(m)
+            levels, factors = [np.ones(m)], [dwc]
+        base = np.column_stack(levels + factors)
+        z2 = dm - base @ np.linalg.lstsq(base, dm, rcond=None)[0]
+        plan.setdefault(n, bool(np.var(z2) > 0.05 * np.var(dm)))
+        if plan[n]:
+            factors += [z2, mb * z2] if len(levels) == 2 else [z2]
+        design = np.column_stack(levels + factors)
+        sol = np.linalg.lstsq(design, coef, rcond=None)[0]
+        n_level = len(levels)
+        coef_qt = sol[n_level][None, :] + (mb[:, None] * sol[n_level + 1] if n_level == 2 else 0.0)
+        factor_part = design[:, n_level:] @ sol[n_level:]
+
+        q[:, :, n] = np.einsum("jkb,jb->jk", basis, coef_q)
+        qt[:, :, n] = np.einsum("jkb,jb->jk", basis, coef_qt)
+        cond_exp = np.einsum("jkb,jb->jk", basis, coef - factor_part)
+        rest = hamiltonian_dx(spec, t, x, 0.0, q[:, :, n], qt[:, :, n], ens.controls[:, :, n],
+                              flow.at(n))
+        p[:, :, n] = (cond_exp + rest * dt) / (1.0 - spec.drift.phi1(t) * dt)
+        r2[n] = 1.0 - np.mean(resid ** 2) / np.var(y)
+    return p, q, qt, r2, degenerate
+
+
+def test_backward_pass_matches_plain_lstsq_reference():
+    # a constant initial law makes step 0 degenerate (one state per path)
+    spec = get_preset("lq_drift_coupled").spec
+    assert spec.measure_coupled
+    grid = TimeGrid(1.0, 6)
+    noise = NoiseBundle(seed=12, n_paths=8, n_particles=16, grid=grid)
+    rng = np.random.default_rng(3)
+    ens = _ensemble(spec, noise, InitialLaw(kind="constant", mu=1.0),
+                    controls=0.5 * rng.standard_normal((8, 16, 6)))
+    terminal = terminal_from_cost(spec)
+
+    def check(gate_plan, plan):
+        back = solve_bsde_given_control(spec, ens, ens.flow, terminal, noise, gate_plan=gate_plan)
+        p, q, qt, r2, degenerate = _reference_backward(spec, ens, noise, terminal, plan)
+        for got, want in ((back.p, p), (back.q, q), (back.q_tilde, qt),
+                          (back.diagnostics["r_squared"], r2)):
+            assert np.max(np.abs(got - want)) < 1e-10
+        assert degenerate == 1
+        assert back.diagnostics["warnings"] == [
+            "regression fell back to intercept-only basis on 1 steps"]
+        assert gate_plan == {("z2", n): plan[n] for n in range(6)}
+
+    gate_plan, plan = {}, {}
+    check(gate_plan, plan)
+    # the z2 column is in play on some steps and not on others
+    assert 0 < sum(plan.values()) < 6
+
+    # a filled plan is reused as given, not decided again
+    flipped = {key: not use for key, use in gate_plan.items()}
+    check(flipped, {n: not use for n, use in plan.items()})
+
+
+def test_picard_never_writes_its_start():
+    preset = get_preset("lq")
+    grid = TimeGrid(1.0, 10)
+    noise = NoiseBundle(seed=9, n_paths=8, n_particles=32, grid=grid)
+    xi0 = InitialLaw(kind="normal", mu=1.0, std=0.5)
+    terminal = terminal_from_cost(preset.spec)
+    # a time-major start is used without a copy
+    start = 0.5 * oracle_solution(preset.lq_params, noise, xi0).controls
+    assert_steps_contiguous(start)
+    kept = start.copy()
+    start.setflags(write=False)
+    read_only = picard_solve(preset.spec, noise, terminal, xi0=xi0, u0=start, tol=1e-4)
+    assert len(read_only.residual_history) >= 3
+    assert np.array_equal(start, kept)
+    writable = picard_solve(preset.spec, noise, terminal, xi0=xi0, u0=kept.copy(order="K"),
+                            tol=1e-4)
+    assert read_only.residual_history == writable.residual_history
+    # the returned live flow holds no sorted copy of its atoms
+    assert read_only.flow._sorted is None
