@@ -365,17 +365,22 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: TerminalConditio
                                         input_f=inputs.get("f"), input_g=inputs.get("g"),
                                         gate_plan=gate_plan)
 
+        # the Newton minimizer starts from the current control, within one
+        # Picard step of its root from the second sweep on
         u_min = np.empty_like(u)
         for n in range(grid.n_steps):
             u_min[:, :, n] = minimize_hamiltonian_values(
                 spec, grid.nodes[n], ens.states[:, :, n], back.p[:, :, n],
-                back.q[:, :, n], back.q_tilde[:, :, n])
+                back.q[:, :, n], back.q_tilde[:, :, n], u0=u[:, :, n])
 
         # convergence is measured on the undamped fixed-point gap, so a small
         # damping factor cannot fake progress
         step = np.subtract(u_min, u, out=u_min)
         step_rms = control_rms(step, grid.dt, horizon)
         history.append(step_rms)
+        if not np.isfinite(step_rms):
+            raise SolverError(f"non-finite control residual at sweep {it + 1}",
+                              history={"residuals": history, "flow_distances": flow_dists})
         if step_rms <= tol:
             diag = dict(back.diagnostics)
             diag["iterations"] = it + 1

@@ -73,9 +73,11 @@ class CostSpec:
     pieces ``f1``, ``f1x``, ``g``, ``gx`` each take one law ``m`` that they
     read through ``m.mean`` and ``m.atoms`` only, so the same callable serves a
     single ``EmpiricalMeasure`` and a per-path ``PathLaws`` view.
-    ``convexity_u`` is the strict-convexity modulus of f0 in u.  ``f0u_slope``
-    is set when f0u is linear in u (closed-form minimizer); otherwise ``f0uu``
-    must be provided for the Newton path.
+    ``convexity_u`` is the strict-convexity modulus of f0 in u, so f0u rises
+    in u with slope at least 2 * convexity_u; the Newton minimizer takes its
+    bracket from that bound.  ``f0u_slope`` is set when f0u is linear in u
+    (closed-form minimizer); otherwise ``f0uu`` must be provided for the
+    Newton path.
     """
 
     f0: Callable[[float, ArrayLike, ArrayLike], ArrayLike]
@@ -147,22 +149,36 @@ def hamiltonian(spec: ModelSpec, t: float, x: ArrayLike, p: ArrayLike, q: ArrayL
 
 def hamiltonian_dx(spec: ModelSpec, t: float, x: ArrayLike, p: ArrayLike, q: ArrayLike,
                    q_tilde: ArrayLike, u: ArrayLike, m: Law) -> ArrayLike:
-    """State derivative of the Hamiltonian: b1 p + sigma1 q + sigma_tilde1 qt + f0x + f1x."""
-    return (spec.drift.phi1(t) * p + spec.vol.phi1(t) * q + spec.vol_common.phi1(t) * q_tilde
-            + spec.cost.f0x(t, x, u) + spec.cost.f1x(t, x, m))
+    """State derivative of the Hamiltonian: b1 p + sigma1 q + sigma_tilde1 qt + f0x + f1x.
+
+    A term whose coefficient is 0 is left out (on the LQ presets sigma1 and
+    sigma_tilde1 are), the others are summed in this order.
+    """
+    total = 0.0
+    for coef, adjoint in ((spec.drift.phi1(t), p), (spec.vol.phi1(t), q),
+                          (spec.vol_common.phi1(t), q_tilde)):
+        if coef != 0.0:
+            total = total + coef * adjoint
+    return total + spec.cost.f0x(t, x, u) + spec.cost.f1x(t, x, m)
 
 
 _ROOT_TOL = 1e-10
 
 
 def minimize_hamiltonian_values(spec: ModelSpec, t: float, x: np.ndarray, p: np.ndarray,
-                                q: np.ndarray, q_tilde: np.ndarray) -> np.ndarray:
+                                q: np.ndarray, q_tilde: np.ndarray,
+                                u0: np.ndarray | None = None) -> np.ndarray:
     """Vectorized Hamiltonian minimizer: solves the first-order condition in u.
 
-    The condition b2 p + sigma2 q + sigma_tilde2 qt + f0u(t, x, u) = 0 has a
-    unique root because f0u is strictly increasing in u with slope at least
-    2 * convexity_u.  Linear f0u gives the closed form; otherwise a bracketed
-    Newton iteration with bisection safeguard is used.
+    The condition h(u) = b2 p + sigma2 q + sigma_tilde2 qt + f0u(t, x, u) = 0
+    has a unique root because h is strictly increasing in u with slope at
+    least 2 * convexity_u.  Linear f0u gives the closed form.  Otherwise a
+    Newton iteration with bisection safeguard starts at ``u0`` (default 0; a
+    warm start near the root saves iterations): the slope bound puts the root
+    between u0 and u0 - h(u0) / (2 convexity_u), so that one residual brackets
+    it.  A cost whose slope falls below the bound can leave the root outside
+    the bracket, which ends in ``ModelError``.  A non-finite residual stops
+    the iteration at once and comes back as NaN in its elements.
     """
     x = np.asarray(x, dtype=float)
     const = (spec.drift.phi2(t) * np.asarray(p, dtype=float)
@@ -173,43 +189,34 @@ def minimize_hamiltonian_values(spec: ModelSpec, t: float, x: np.ndarray, p: np.
         zero = np.zeros_like(x)
         return -(const + np.asarray(cost.f0u(t, x, zero))) / cost.f0u_slope
 
-    # bracket [-R, R] guaranteed to contain the root under the growth bounds,
-    # expanded by doubling if not
-    two_cf = 2.0 * spec.C_f
-    scale = np.abs(x) + np.abs(p) + np.abs(q) + np.abs(q_tilde)
-    radius = spec.L * (1.0 + scale) / two_cf + spec.L / two_cf
-    lo = -np.maximum(radius, 1.0)
-    hi = np.maximum(radius, 1.0)
-
     def h(u):
         return np.asarray(cost.f0u(t, x, u)) + const
 
-    for _ in range(60):
-        bad_lo = h(lo) > 0
-        bad_hi = h(hi) < 0
-        if not (np.any(bad_lo) or np.any(bad_hi)):
-            break
-        lo = np.where(bad_lo, 2.0 * lo - 1.0, lo)
-        hi = np.where(bad_hi, 2.0 * hi + 1.0, hi)
-    else:
-        raise ModelError("minimizer bracket failure: cost does not satisfy strict convexity in u")
-
-    u = np.clip(np.zeros_like(x), lo, hi)
+    two_cf = 2.0 * spec.C_f
+    u = np.zeros_like(x) if u0 is None else np.array(u0, dtype=float)
+    fu = h(u)
+    edge = u - fu / two_cf
+    lo, hi = np.minimum(u, edge), np.maximum(u, edge)
     for _ in range(100):
-        fu = h(u)
-        if np.max(np.abs(fu)) <= _ROOT_TOL:
+        worst = np.max(np.abs(fu))
+        if not worst > _ROOT_TOL:
             break
         lo = np.where(fu < 0, u, lo)
         hi = np.where(fu > 0, u, hi)
         slope = np.maximum(np.asarray(cost.f0uu(t, x, u)), two_cf)
         step = u - fu / slope
-        inside = (step > lo) & (step < hi)
+        # the bracket is closed: an element whose step rounds onto its own
+        # point, an end of the bracket, has converged and must not be sent
+        # to the midpoint while the others iterate
+        inside = (step >= lo) & (step <= hi)
         u = np.where(inside, step, 0.5 * (lo + hi))
-    else:
         fu = h(u)
-        if np.max(np.abs(fu)) > 1e-6:
+    else:
+        worst = np.max(np.abs(fu))
+        if worst > 1e-6:
             raise ModelError("minimizer did not converge: invalid cost specification")
-    return u
+    # a NaN residual is handed on, so that its start is never taken for a root
+    return np.where(np.isnan(fu), fu, u) if np.isnan(worst) else u
 
 
 def minimize_hamiltonian(spec: ModelSpec, t: float, x: float, p: float, q: float,
@@ -550,14 +557,16 @@ def _quadratic_cost(cu, cx, c1, lam, cg0, cg, lamg, quartic_x=0.0, quartic_u=0.0
             base = base + quartic_u * (u2 * u2)
         return base
 
+    # every caller passes x and u of one shape, so neither derivative pads
+    # its result to the shape of the argument it does not read
     def f0x(t, x, u):
-        return 2.0 * cx * np.asarray(x) + np.zeros_like(np.asarray(u, dtype=float))
+        return 2.0 * cx * np.asarray(x)
 
     def f0u(t, x, u):
         out = 2.0 * cu * np.asarray(u)
         if quartic_u:
             out = out + 4.0 * quartic_u * (np.asarray(u) * u * u)
-        return out + np.zeros_like(np.asarray(x, dtype=float))
+        return out
 
     def f0uu(t, x, u):
         return 2.0 * cu + 12.0 * quartic_u * np.asarray(u) ** 2

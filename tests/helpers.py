@@ -52,3 +52,16 @@ def assert_steps_contiguous(*arrays):
         assert a.ndim == 3
         for n in range(a.shape[2]):
             assert a[:, :, n].flags.c_contiguous, f"step {n} of a {a.shape} array is strided"
+
+
+def count_f0u_calls(cost: CostSpec) -> list:
+    """Wrap ``cost.f0u`` so that its calls are counted in the returned one-item list."""
+    calls = [0]
+    f0u = cost.f0u
+
+    def counted(t, x, u):
+        calls[0] += 1
+        return f0u(t, x, u)
+
+    cost.f0u = counted
+    return calls

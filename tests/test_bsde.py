@@ -15,7 +15,7 @@ from cnmfg.model import get_preset, hamiltonian_dx
 
 from cnmfg.mfg_solvers import solve_stitched
 
-from helpers import assert_steps_contiguous, simple_spec
+from helpers import assert_steps_contiguous, count_f0u_calls, simple_spec
 
 
 def _ensemble(spec, noise, xi0, controls=None):
@@ -362,3 +362,30 @@ def test_picard_never_writes_its_start():
     assert read_only.residual_history == writable.residual_history
     # the returned live flow holds no sorted copy of its atoms
     assert read_only.flow._sorted is None
+
+
+def test_nan_terminal_raises_solver_error_on_the_first_sweep():
+    grid = TimeGrid(1.0, 10)
+    xi0 = InitialLaw(kind="normal", mu=1.0, std=0.5)
+    nan_terminal = TerminalCondition(evaluate=lambda x, m: np.full_like(x, np.nan), lipschitz=1.0)
+    for name in ("lq", "quartic_control"):
+        noise = NoiseBundle(seed=3, n_paths=8, n_particles=32, grid=grid)
+        with pytest.raises(SolverError, match="non-finite control residual at sweep 1") as err:
+            picard_solve(get_preset(name).spec, noise, nan_terminal, xi0=xi0, tol=1e-4)
+        history = err.value.history
+        assert len(history["residuals"]) == 1 and np.isnan(history["residuals"][0])
+        assert history["flow_distances"] == []
+
+
+def test_quartic_solve_f0u_evaluation_count():
+    # a guard on the minimizer's warm start and its closed bracket: with cold
+    # starts this solve makes 1208 f0u evaluations, with an open bracket 1332;
+    # the count includes one per step for the returned first-order residual
+    preset = get_preset("quartic_control")
+    spec = preset.spec
+    calls = count_f0u_calls(spec.cost)
+    noise = NoiseBundle(seed=3, n_paths=8, n_particles=32, grid=TimeGrid(1.0, 10))
+    bundle = picard_solve(spec, noise, terminal_from_cost(spec),
+                          xi0=InitialLaw(kind="normal", mu=1.0, std=0.5), tol=preset.default_tol)
+    assert len(bundle.residual_history) == 18
+    assert calls[0] == 916

@@ -11,7 +11,7 @@ from cnmfg.model import (SamplerConfig, get_preset, gronwall_constants, hamilton
                          hamiltonian_dx, minimize_hamiltonian, minimize_hamiltonian_values,
                          preset_names, sufficient_condition_report, validate_assumptions)
 
-from helpers import quadratic_cost, simple_spec
+from helpers import count_f0u_calls, quadratic_cost, simple_spec
 
 M0 = EmpiricalMeasure([0.0])
 
@@ -223,3 +223,68 @@ def test_preset_registry():
     assert preset.lq_params.cu == 2.5
     assert get_preset("tanh_drift").lq_params is None
     assert get_preset("concave_g").lq_params is None
+
+
+def _quartic_inputs(n=200, seed=13):
+    spec = get_preset("quartic_control").spec
+    x, p, q, qt = np.random.default_rng(seed).uniform(-4, 4, size=(4, n))
+    return spec, (0.3, x, p, q, qt)
+
+
+def _reference_root(spec, args, centre):
+    # |h(u)| <= tol puts u within tol / (2 C_f) of the root, so the root lies
+    # in [centre - 1, centre + 1]; bisection there runs down to the last bit
+    t, x, p, q, qt = args
+    const = spec.drift.phi2(t) * p + spec.vol.phi2(t) * q + spec.vol_common.phi2(t) * qt
+    lo, hi = centre - 1.0, centre + 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        above = spec.cost.f0u(t, x, mid) + const > 0
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+def test_minimizer_warm_start_agrees_with_cold_root():
+    spec, args = _quartic_inputs()
+    bound = 1e-10 / (2 * spec.C_f)
+    cold = minimize_hamiltonian_values(spec, *args)
+    root = _reference_root(spec, args, cold)
+    assert np.max(np.abs(cold - root)) <= bound
+    for shift in (0.0, 0.01, -0.01, 1e3, -1e3):
+        warm = minimize_hamiltonian_values(spec, *args, u0=root + shift)
+        assert np.max(np.abs(warm - cold)) <= bound, shift
+        assert np.max(np.abs(warm - root)) <= bound, shift
+
+
+def test_minimizer_started_at_its_root_evaluates_f0u_once():
+    spec, args = _quartic_inputs()
+    root = minimize_hamiltonian_values(spec, *args)
+    calls = count_f0u_calls(spec.cost)
+    out = minimize_hamiltonian_values(spec, *args, u0=root)
+    assert np.array_equal(out, root) and out is not root
+    assert calls[0] == 1
+
+
+def test_minimizer_cost_below_its_convexity_bound_raises():
+    # f0u = 2u + 0.4u^3 rises with slope 2, but the cost claims 2 C_f = 10: the
+    # bracket [u0 - h(u0) / 10, u0] misses the root and collapses onto a point
+    # whose residual stays large
+    spec = simple_spec(b2=1.0)
+    spec.cost = quadratic_cost(cu=1.0, quartic_u=0.1)
+    spec.cost.convexity_u = 5.0
+    with pytest.raises(ModelError, match="did not converge"):
+        minimize_hamiltonian_values(spec, 0.0, np.zeros(3), np.array([5.0, 1.0, -3.0]),
+                                    np.zeros(3), np.zeros(3))
+
+
+def test_minimizer_hands_on_nan_without_iterating():
+    spec, (t, x, p, q, qt) = _quartic_inputs(n=50)
+    start = np.ones_like(x)
+    calls = count_f0u_calls(spec.cost)
+    out = minimize_hamiltonian_values(spec, t, x, np.full_like(p, np.nan), q, qt, u0=start)
+    assert np.isnan(out).all() and calls[0] == 1
+    # one NaN element is NaN in the result, so a finite start is never taken for a root
+    p[7] = np.nan
+    out = minimize_hamiltonian_values(spec, t, x, p, q, qt, u0=start)
+    assert np.isnan(out[7]) and np.isfinite(np.delete(out, 7)).all()
+    assert np.array_equal(start, np.ones_like(x))
