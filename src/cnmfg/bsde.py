@@ -387,12 +387,10 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: TerminalConditio
             diag["damping_final"] = theta
             # a live flow is handed out as a new view of the states, without
             # the sorted atoms kept for the next sweep's distance
-            bundle = SolutionBundle(
+            return SolutionBundle(
                 states=ens.states, controls=ens.controls, p=back.p, q=back.q,
                 q_tilde=back.q_tilde, grid=grid, residual_history=history, diagnostics=diag,
                 flow=flow if frozen_flow is not None else ens.flow)
-            diag["first_order_residual"] = first_order_residual(spec, bundle)
-            return bundle
 
         # damping adaptation: increases of the gap cap the step size, stalls
         # damp further, solid contractions recover the step up to the cap, and

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsde import control_rms, picard_solve, solution_norm, terminal_from_cost
+from .bsde import (control_rms, first_order_residual, picard_solve, solution_norm,
+                   terminal_from_cost)
 from .errors import CnmfgError, ConfigError, ModelError, SolverError
 from .forward_sim import NoiseBundle, OpenLoopControl, TimeGrid, particle_array, simulate_forward
 from .lq_oracle import lq_cost_oracle, oracle_solution, solve_riccati
@@ -126,6 +127,7 @@ def cmd_solve(args) -> int:
         flow = _frozen_flow(cfg, preset, noise, xi0)
         bundle = picard_solve(preset.spec, noise, terminal_from_cost(preset.spec), xi0=xi0,
                               frozen_flow=flow, tol=tol, max_iter=cfg.max_iter)
+        bundle.diagnostics["first_order_residual"] = first_order_residual(preset.spec, bundle)
     else:  # direct
         bundle = solve_scaled_fbsde(preset.spec, 1.0, xi0, None, noise, tol=tol,
                                     max_iter=cfg.max_iter)

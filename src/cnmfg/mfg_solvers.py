@@ -6,7 +6,10 @@ solvers implement numerically:
 * ``solve_continuation`` scales every coupling coefficient by gamma in [0, 1]
   and walks gamma to 1; each advance by eta solves the gamma-scaled system
   repeatedly, feeding the previous iterate back through exogenous input
-  tables, which is a contraction for small eta.
+  tables, which is a contraction for small eta.  The inner solves are
+  inexact: each is solved only as tightly as the previous outer distance
+  needs (a forcing term), and a step is accepted only on a solve at the full
+  inner tolerance.
 
 * ``solve_stitched`` partitions the horizon into short intervals; on each
   interval the map control -> (population under that control) -> best response
@@ -38,6 +41,8 @@ from .measures import MeasureFlow
 from .model import ModelSpec, hamiltonian_dx
 
 _TOL_MONO_FIELD = 1e-6
+# inner tolerance of a continuation step per unit of its previous outer distance
+_FORCING = 0.05
 
 
 @dataclass
@@ -90,19 +95,21 @@ def solve_scaled_fbsde(spec: ModelSpec, gamma: float, xi0: InitialLaw,
     vanish, only the inputs drive them) and the iteration terminates in one
     pass.  The live conditional empirical flow is recomputed from the forward
     particles each sweep; three consecutive increases of the flow distance
-    raise a SolverError with the history attached.
+    raise a SolverError with the history attached.  The returned bundle's
+    diagnostics hold its ``first_order_residual``.
     """
     if not 0.0 <= gamma <= 1.0:
         raise SolverError(f"gamma must lie in [0, 1], got {gamma}")
     terminal = terminal_from_cost(spec)
     in_dict = inputs.as_dict() if inputs is not None else None
-    return picard_solve(spec, noise, terminal, xi0=xi0, gamma=gamma, inputs=in_dict,
-                        u0=u0, tol=tol, max_iter=max_iter)
+    bundle = picard_solve(spec, noise, terminal, xi0=xi0, gamma=gamma, inputs=in_dict,
+                          u0=u0, tol=tol, max_iter=max_iter)
+    bundle.diagnostics["first_order_residual"] = first_order_residual(spec, bundle)
+    return bundle
 
 
-def _coefficient_inputs(spec: ModelSpec, bundle: SolutionBundle, eta: float,
-                        base: InputPerturbation) -> InputPerturbation:
-    """Inputs eta * (coefficients along the bundle) + base, the continuation map."""
+def _coefficient_inputs(spec: ModelSpec, bundle: SolutionBundle, eta: float) -> InputPerturbation:
+    """Inputs eta * (coefficients along the bundle), the continuation map."""
     states, controls, flow = bundle.states, bundle.controls, bundle.flow
     n_steps = controls.shape[2]
     nodes = bundle.grid.nodes
@@ -117,11 +124,12 @@ def _coefficient_inputs(spec: ModelSpec, bundle: SolutionBundle, eta: float,
         out_st[:, :, n] = spec.vol_common.values(t, x, u, law)
         out_f[:, :, n] = hamiltonian_dx(spec, t, x, bundle.p[:, :, n], bundle.q[:, :, n],
                                         bundle.q_tilde[:, :, n], u, law)
-    gx_T = spec.cost.gx(states[:, :, -1], flow.at(n_steps))
-    return InputPerturbation(
-        b=eta * out_b + base.b, sigma=eta * out_s + base.sigma,
-        sigma_tilde=eta * out_st + base.sigma_tilde, f=eta * out_f + base.f,
-        g=eta * gx_T + base.g, dt=bundle.grid.dt)
+    for table in (out_b, out_s, out_st, out_f):
+        table *= eta
+    # the cost's gx may hand back its argument, so its values are not scaled in place
+    gx_T = eta * np.asarray(spec.cost.gx(states[:, :, -1], flow.at(n_steps)))
+    return InputPerturbation(b=out_b, sigma=out_s, sigma_tilde=out_st, f=out_f, g=gx_T,
+                             dt=bundle.grid.dt)
 
 
 @dataclass
@@ -130,6 +138,7 @@ class ContinuationStep:
     eta: float
     iterations: int
     distances: list
+    sweeps: list          # inner Picard sweeps of each outer iteration
     ratio: float
 
 
@@ -163,6 +172,15 @@ def solve_continuation(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle,
     distance.  eta is halved when the observed ratio reaches 0.9 (and the step
     retried), doubled back toward eta0 after two clean steps, and the solver
     stalls out below eta = 1e-3.  An inner SolverError fails the step too.
+
+    The inner solves are inexact (a forcing-term rule, as in inexact Newton
+    methods): outer iteration k solves to max(inner_tol, _FORCING * d_{k-1}),
+    with d_{k-1} the previous distance of the same attempt, and the first
+    iteration of an attempt, which has no distance yet, runs one sweep.  A
+    step is accepted only when its distance is within the step tolerance and
+    the inner solve that produced it ran at ``inner_tol``, so every accepted
+    bundle, the returned one included, is solved to ``inner_tol``.
+    ``ContinuationStep.sweeps`` holds the inner sweeps of each iteration.
     """
     grid = noise.grid
     inner_tol = inner_tol if inner_tol is not None else max(tol / 5.0, 1e-7)
@@ -181,27 +199,33 @@ def solve_continuation(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle,
         # contraction iteration at fixed (gamma, eta); final step gets the tight tolerance
         step_tol = tol if state.gamma + eta >= 1.0 - 1e-12 else 4.0 * tol
         failure = None
+        sweeps: list[int] = []
+        # forcing term: with no distance yet the first inner solve runs one sweep
+        inner = math.inf
         for it in range(max_picard):
-            inputs = _coefficient_inputs(spec, iterate, eta, zero)
+            inputs = _coefficient_inputs(spec, iterate, eta)
             try:
                 nxt = solve_scaled_fbsde(spec, state.gamma, xi0, inputs, noise,
-                                         u0=iterate.controls, tol=inner_tol, max_iter=max_iter_inner)
+                                         u0=iterate.controls, tol=inner, max_iter=max_iter_inner)
             except SolverError as err:      # an inner cap or flow divergence fails the step
                 failure = err
                 break
             d = solution_distance(nxt, iterate)
             distances.append(d)
+            sweeps.append(nxt.diagnostics["iterations"])
             iterate = nxt
-            if d <= step_tol:
+            # only a solve at the full inner tolerance may end the stage
+            if d <= step_tol and inner == inner_tol:
                 converged = True
                 break
             if len(distances) >= 3 and distances[-1] > distances[-2] > distances[-3]:
                 break
+            inner = max(inner_tol, _FORCING * d)
         ratio = _observed_ratio(distances, floor=5.0 * step_tol)
         if converged and ratio < 0.9:
             state.steps.append(ContinuationStep(gamma=state.gamma + eta, eta=eta,
                                                 iterations=len(distances), distances=distances,
-                                                ratio=ratio))
+                                                sweeps=sweeps, ratio=ratio))
             state.gamma += eta
             state.bundle = iterate
             clean_streak = clean_streak + 1 if ratio < 0.45 else 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cnmfg.bsde import (SolutionBundle, TerminalCondition, check_terminal, control_rms,
-                        picard_solve, solution_distance, solution_norm,
+                        first_order_residual, picard_solve, solution_distance, solution_norm,
                         solve_bsde_given_control, terminal_from_cost)
 from cnmfg.errors import SolverError
 from cnmfg.forward_sim import (InitialLaw, NoiseBundle, OpenLoopControl, TimeGrid,
@@ -125,7 +125,7 @@ def test_frozen_dirac_flow_matches_decoupled_riccati_feedback():
     rel = (np.sqrt(np.mean((bundle.controls - ob.controls) ** 2))
            / np.sqrt(np.mean(ob.controls ** 2)))
     assert rel < 0.02
-    assert bundle.diagnostics["first_order_residual"] <= 10 * 1e-5
+    assert first_order_residual(preset.spec, bundle) <= 10 * 1e-5
 
 
 def test_solution_norm_and_distance():
@@ -379,8 +379,7 @@ def test_nan_terminal_raises_solver_error_on_the_first_sweep():
 
 def test_quartic_solve_f0u_evaluation_count():
     # a guard on the minimizer's warm start and its closed bracket: with cold
-    # starts this solve makes 1208 f0u evaluations, with an open bracket 1332;
-    # the count includes one per step for the returned first-order residual
+    # starts this solve makes 1198 f0u evaluations, with an open bracket 1322
     preset = get_preset("quartic_control")
     spec = preset.spec
     calls = count_f0u_calls(spec.cost)
@@ -388,4 +387,4 @@ def test_quartic_solve_f0u_evaluation_count():
     bundle = picard_solve(spec, noise, terminal_from_cost(spec),
                           xi0=InitialLaw(kind="normal", mu=1.0, std=0.5), tol=preset.default_tol)
     assert len(bundle.residual_history) == 18
-    assert calls[0] == 916
+    assert calls[0] == 906

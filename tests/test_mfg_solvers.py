@@ -1,8 +1,11 @@
 """Continuation and stitching solvers at reduced scale (desk scale lives in acceptance)."""
 
+import math
+
 import numpy as np
 import pytest
 
+from cnmfg import mfg_solvers
 from cnmfg.bsde import control_rms, solution_distance, solution_norm, terminal_from_cost
 from cnmfg.errors import SolverError
 from cnmfg.forward_sim import InitialLaw, NoiseBundle, TimeGrid
@@ -86,6 +89,43 @@ def test_continuation_idempotent_from_converged_start():
     b1, _ = solve_continuation(preset.spec, XI0, noise, tol=tol)
     b2, _ = solve_continuation(preset.spec, XI0, noise, tol=tol, u0=b1.controls)
     assert abs(solution_norm(b2) - solution_norm(b1)) <= tol * max(1.0, solution_norm(b1))
+
+
+def test_continuation_inner_solves_are_inexact_until_accepted(monkeypatch):
+    # each outer iteration solves only as tightly as the previous outer
+    # distance asks, the first of an attempt to one sweep; a stage is
+    # accepted only on a solve at the full inner tolerance
+    preset = get_preset("lq")
+    noise = small_noise(m=16, k=48, n=30)
+    tol = 2e-4
+    inner_tol = max(tol / 5.0, 1e-7)
+    calls = []               # (tol, sweeps) of every inner solve
+    solve = mfg_solvers.solve_scaled_fbsde
+
+    def recorded(*args, tol, **kwargs):
+        bundle = solve(*args, tol=tol, **kwargs)
+        calls.append((tol, len(bundle.residual_history)))
+        return bundle
+
+    monkeypatch.setattr(mfg_solvers, "solve_scaled_fbsde", recorded)
+    bundle, state = solve_continuation(preset.spec, XI0, noise, tol=tol)
+    assert state.gamma == pytest.approx(1.0)
+    assert calls[0][0] == inner_tol            # the gamma = 0 start
+    outer = calls[1:]
+    assert all(t >= inner_tol for t, _ in outer)
+    # every attempt was accepted here, so the stages cover the outer solves
+    assert len(outer) == sum(step.iterations for step in state.steps)
+    first = 0
+    for step in state.steps:
+        attempt = outer[first:first + step.iterations]
+        first += step.iterations
+        assert attempt[0] == (math.inf, 1)
+        assert all(t < math.inf for t, _ in attempt[1:])
+        assert attempt[-1][0] == inner_tol
+        assert step.sweeps == [sweeps for _, sweeps in attempt]
+    assert bundle.residual_history[-1] <= inner_tol
+    # 121 sweeps when every inner solve runs to inner_tol
+    assert sum(sweeps for _, sweeps in calls) <= 66
 
 
 def test_stability_ratio_bounded_across_perturbation_scales():
