@@ -18,8 +18,9 @@ Only the products with the next adjoint slice depend on the recursion.  A step
 builds its basis as one (path, basis, particle) block and inverts its ridged
 Gram matrices once for both fits; if its states all coincide, z = 0, which
 under the ridge is the intercept-only fit.  The cross-path design reads only
-flow and noise, so two batched solves build it for all steps up front.  The
-loop reduces with einsum and ufuncs: a long BLAS dot wakes spinning threads.
+flow, noise and the z2 gates, so two batched solves build it for all steps up
+front, and a coupled solve on a frozen flow builds it only once.  The loop
+reduces with einsum and ufuncs: a long BLAS dot wakes spinning threads.
 
 The coupled solve iterates: simulate forward under the current control, solve
 backward, replace the control by the pointwise Hamiltonian minimizer, with
@@ -221,8 +222,13 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
                              terminal: TerminalCondition, noise: NoiseBundle,
                              *, gamma: float = 1.0, input_f: np.ndarray | None = None,
                              input_g: np.ndarray | None = None,
-                             gate_plan: dict | None = None) -> BackwardSolution:
-    """Backward solve for a given control and frozen measure flow on the noise's grid."""
+                             design: tuple[np.ndarray, np.ndarray] | None = None
+                             ) -> BackwardSolution:
+    """Backward solve for a given control and frozen measure flow on the noise's grid.
+
+    ``design`` is the cross-path design with its maps, as ``_cross_path_design``
+    builds it on this flow and noise; without it one is built with fresh gates.
+    """
     grid = noise.grid
     if flow.grid != grid or ensemble.grid != grid:
         raise SolverError(f"flow on {flow.grid} and ensemble on {ensemble.grid} "
@@ -232,10 +238,7 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
     span = grid.n_steps
     dt = grid.dt
     nodes = grid.nodes
-    # gates are decided on the first pass and reused on later sweeps of the
-    # same solve, keeping the control-to-control map continuous (flipping
-    # gates mid-iteration creates limit cycles)
-    design, fit_maps = _cross_path_design(spec, flow, noise, {} if gate_plan is None else gate_plan)
+    design, fit_maps = _cross_path_design(spec, flow, noise, {}) if design is None else design
 
     p = particle_array(m, k, span + 1)
     q = particle_array(m, k, span)
@@ -344,6 +347,7 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: TerminalConditio
     prev_move = np.inf
     prev_flow = None
     gate_plan: dict = {}
+    design = None
 
     for it in range(max_iter):
         ens = simulate_forward(spec, OpenLoopControl(u), noise, xi0,
@@ -361,9 +365,15 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: TerminalConditio
                                       history={"residuals": history, "flow_distances": flow_dists})
             prev_flow = flow
 
+        # gates are decided on the first pass and reused on later sweeps of the
+        # same solve, keeping the control-to-control map continuous (flipping
+        # gates mid-iteration creates limit cycles); on a frozen flow nothing
+        # else in the design moves either, so it is built once
+        if design is None or frozen_flow is None:
+            design = _cross_path_design(spec, flow, noise, gate_plan)
         back = solve_bsde_given_control(spec, ens, flow, terminal, noise, gamma=gamma,
                                         input_f=inputs.get("f"), input_g=inputs.get("g"),
-                                        gate_plan=gate_plan)
+                                        design=design)
 
         # the Newton minimizer starts from the current control, within one
         # Picard step of its root from the second sweep on

@@ -57,15 +57,19 @@ def _load(args) -> RunConfig:
 
 
 def _setup(cfg: RunConfig):
+    """The preset, the grid and the initial law of a run; the ensemble noise is drawn apart."""
     try:
         preset = get_preset(cfg.preset, cfg.preset_params)
     except ModelError as err:
         field = "preset" if cfg.preset not in preset_names() else "preset_params"
         raise ConfigError(str(err), field=field) from err
-    grid = TimeGrid(cfg.horizon, cfg.n_steps)
-    noise = NoiseBundle(seed=cfg.seed, n_paths=cfg.n_common, n_particles=cfg.n_particles,
-                        grid=grid)
-    return preset, grid, noise, cfg.law()
+    return preset, TimeGrid(cfg.horizon, cfg.n_steps), cfg.law()
+
+
+def _ensemble_noise(cfg: RunConfig, grid: TimeGrid) -> NoiseBundle:
+    """The config's (n_common x n_particles) noise, drawn only by commands that simulate it."""
+    return NoiseBundle(seed=cfg.seed, n_paths=cfg.n_common, n_particles=cfg.n_particles,
+                       grid=grid)
 
 
 def _load_resume_controls(cfg: RunConfig) -> np.ndarray:
@@ -97,10 +101,11 @@ def _frozen_flow(cfg: RunConfig, preset, noise, xi0):
 
 def cmd_solve(args) -> int:
     cfg = _load(args)
-    preset, grid, noise, xi0 = _setup(cfg)
+    preset, grid, xi0 = _setup(cfg)
     tol = cfg.tol if cfg.tol is not None else preset.default_tol
     writer = RunWriter(cfg.output_dir, cfg.config_hash(), cfg.seed)
     u0 = _load_resume_controls(cfg) if getattr(args, "resume", False) else None
+    noise = _ensemble_noise(cfg, grid)
 
     t0 = timer()
     ratios: list = []
@@ -166,7 +171,7 @@ def cmd_solve(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _load(args)
-    preset, grid, noise, xi0 = _setup(cfg)
+    preset, _, _ = _setup(cfg)
     writer = RunWriter(cfg.output_dir, cfg.config_hash(), cfg.seed)
     report = validate_assumptions(preset.spec)
     conditions = sufficient_condition_report(preset.spec)
@@ -199,12 +204,13 @@ def _oracle_errors(preset, cfg: RunConfig, n_steps: int, n_particles: int, seed:
 
 def cmd_compare_oracle(args) -> int:
     cfg = _load(args)
-    preset, grid, noise, xi0 = _setup(cfg)
+    preset, grid, xi0 = _setup(cfg)
     if preset.lq_params is None:
         raise ConfigError(f"no oracle: preset {cfg.preset!r} is outside the LQ family",
                           field="preset")
     tol = cfg.tol if cfg.tol is not None else preset.default_tol
     writer = RunWriter(cfg.output_dir, cfg.config_hash(), cfg.seed)
+    noise = _ensemble_noise(cfg, grid)
     oracle = oracle_solution(preset.lq_params, noise, xi0)
 
     t0 = timer()
@@ -252,14 +258,14 @@ def cmd_compare_oracle(args) -> int:
 
 def cmd_nash(args) -> int:
     cfg = _load(args)
-    preset, grid, noise, xi0 = _setup(cfg)
+    preset, grid, xi0 = _setup(cfg)
     tol = cfg.tol if cfg.tol is not None else preset.default_tol
     writer = RunWriter(cfg.output_dir, cfg.config_hash(), cfg.seed)
     if preset.lq_params is not None:
         strategy = FeedbackStrategy.from_riccati(solve_riccati(preset.lq_params, grid))
         source = "riccati"
     else:
-        bundle, _ = solve_continuation(preset.spec, xi0, noise, tol=tol)
+        bundle, _ = solve_continuation(preset.spec, xi0, _ensemble_noise(cfg, grid), tol=tol)
         strategy = FeedbackStrategy.from_bundle(bundle)
         source = "continuation_bundle"
 

@@ -1,12 +1,16 @@
 """Finite-player game under the population feedback and empirical near-equilibrium gaps.
 
-The N-player system is the particle system with a single common path and one
+An N-player game is the particle system with a single common path and one
 particle per player: every player applies the same feedback evaluated at the
 player's own state with the population law replaced by the empirical measure
-over the N players.  The equilibrium quality of the feedback is probed by the
-gap between a player's cost under it and the cost of a best response computed
-against the frozen empirical flow (solved with the regression machinery on a
-copy ensemble that shares the run's common-noise realization and uses common
+over the N players.  A path's law is the empirical law of its own row, so a
+batch of independent games (one seed each) is played as the paths of one
+particle simulation, each game bit for bit as if it were played alone.
+
+The equilibrium quality of the feedback is probed by the gap between a
+player's cost under it and the cost of a best response computed against the
+frozen empirical flow (solved with the regression machinery on a copy
+ensemble that shares the run's common-noise realization and uses common
 random numbers for the strategy and deviation legs).
 """
 
@@ -71,22 +75,22 @@ class FeedbackStrategy:
 
 @dataclass
 class PlayerSystem:
-    """States, controls and realized costs of the N players on one common path."""
+    """States, controls and realized costs of a batch of N-player games, one per common path."""
 
-    states: np.ndarray      # (n_players, n_nodes)
-    controls: np.ndarray    # (n_players, n_steps)
-    costs: np.ndarray       # (n_players,)
+    states: np.ndarray      # (n_games, n_players, n_nodes)
+    controls: np.ndarray    # (n_games, n_players, n_steps)
+    costs: np.ndarray       # (n_games, n_players)
     grid: TimeGrid
     noise: NoiseBundle = field(repr=False, default=None)
-    limit_means: np.ndarray | None = None
+    limit_means: np.ndarray | None = None   # (n_games, n_nodes)
 
     @property
     def n_players(self) -> int:
-        return self.states.shape[0]
+        return self.states.shape[1]
 
     @property
     def flow(self) -> MeasureFlow:
-        return MeasureFlow(atoms=self.states[None, :, :], grid=self.grid)
+        return MeasureFlow(atoms=self.states, grid=self.grid)
 
 
 def limit_mean_path(spec: ModelSpec, strategy: FeedbackStrategy, m0: float,
@@ -95,24 +99,25 @@ def limit_mean_path(spec: ModelSpec, strategy: FeedbackStrategy, m0: float,
 
     In the population limit the idiosyncratic noise averages out, so the
     conditional mean follows its own equation driven by the common increments,
-    with the control replaced by the strategy's mean feedback.
+    with the control replaced by the strategy's mean feedback.  ``dw_common``
+    holds one row of increments per game, (n_games, n_steps); the result holds
+    one mean path per game, (n_games, n_nodes).
     """
-    n = dw_common.size
+    n_games, n = dw_common.shape
     dt = grid.dt
-    out = np.empty(n + 1)
-    out[0] = m0
-    # the population law seen by the coefficients is the Dirac at the limit
-    # mean: one path, one atom, refilled in place every step
-    cell = np.empty((1, 1))
+    out = np.empty((n_games, n + 1))
+    out[:, 0] = m0
+    # the population law of each game seen by the coefficients is the Dirac at
+    # its limit mean: one path and one atom per game, refilled in place every step
+    cell = np.empty((n_games, 1))
     law = PathLaws(mean=cell, atoms=cell)
     for i in range(n):
         t = grid.nodes[i]
-        m = out[i]
-        cell[0, 0] = m
-        ubar = strategy.intercept[i] + (strategy.slope_x[i] + strategy.slope_mean[i]) * m
-        drift = spec.drift.values(t, m, ubar, law).item()
-        diff = spec.vol_common.values(t, m, ubar, law).item()
-        out[i + 1] = m + drift * dt + diff * dw_common[i]
+        cell[:, 0] = out[:, i]
+        ubar = strategy.intercept[i] + (strategy.slope_x[i] + strategy.slope_mean[i]) * cell
+        drift = spec.drift.values(t, cell, ubar, law)
+        diff = spec.vol_common.values(t, cell, ubar, law)
+        out[:, i + 1] = (cell + drift * dt + diff * dw_common[:, i, None])[:, 0]
     return out
 
 
@@ -123,28 +128,36 @@ def _initial_mean(xi0: InitialLaw) -> float:
 
 
 def simulate_nplayer(spec: ModelSpec, strategy: FeedbackStrategy, n_players: int,
-                     grid: TimeGrid, xi0: InitialLaw, seed: int, *,
+                     grid: TimeGrid, xi0: InitialLaw, seeds, *,
                      mean_source: str = "empirical") -> PlayerSystem:
-    """Simulate the N-player system under the shared feedback strategy.
+    """Play one N-player game per seed under the shared feedback strategy.
 
     The empirical measure over players replaces the population law in the
-    coefficients and costs, so this is exactly the particle simulator with one
-    common path and one particle per player.  ``mean_source`` selects the mean
-    the feedback reads: "empirical" (the realized N-player mean) or "limit"
-    (the population-limit mean integrated along the realized common noise,
-    the classic approximate-equilibrium strategy).
+    coefficients and costs, so a game is exactly the particle simulator with
+    one common path and one particle per player.  Each seed's noise and
+    initial states are drawn as for a one-path bundle of that seed; the games
+    are then the paths of one simulation, game g on path g of every array.
+    ``mean_source`` selects the mean the feedback reads: "empirical" (the
+    realized N-player mean) or "limit" (the population-limit mean integrated
+    along the realized common noise, the classic approximate-equilibrium
+    strategy).
     """
-    noise = NoiseBundle(seed=seed, n_paths=1, n_particles=n_players, grid=grid)
+    if mean_source not in ("empirical", "limit"):
+        raise SolverError(f"unknown mean source {mean_source!r}")
+    bundles = [NoiseBundle(seed=int(s), n_paths=1, n_particles=n_players, grid=grid)
+               for s in seeds]
+    init_states = np.concatenate([b.initial_states(xi0) for b in bundles])
+    # the stacked bundle carries the first seed; its initial states are drawn per game above
+    noise = NoiseBundle.from_arrays(bundles[0].seed, grid,
+                                    np.concatenate([b.dW for b in bundles]),
+                                    np.concatenate([b.dW_common for b in bundles]))
     limit_means = None
     if mean_source == "limit":
-        limit_means = limit_mean_path(spec, strategy, _initial_mean(xi0),
-                                      noise.dW_common[0], grid)
-    elif mean_source != "empirical":
-        raise SolverError(f"unknown mean source {mean_source!r}")
-    rule = strategy.control_rule(None if limit_means is None else limit_means[None, :])
-    ens = simulate_forward(spec, rule, noise, xi0)
-    costs = per_sample_costs(spec, ens.states, ens.controls, ens.flow, grid)[0]
-    return PlayerSystem(states=ens.states[0], controls=ens.controls[0], costs=costs,
+        limit_means = limit_mean_path(spec, strategy, _initial_mean(xi0), noise.dW_common, grid)
+    ens = simulate_forward(spec, strategy.control_rule(limit_means), noise,
+                           init_states=init_states)
+    costs = per_sample_costs(spec, ens.states, ens.controls, ens.flow, grid)
+    return PlayerSystem(states=ens.states, controls=ens.controls, costs=costs,
                         grid=grid, noise=noise, limit_means=limit_means)
 
 
@@ -190,24 +203,21 @@ def nash_gap(spec: ModelSpec, strategy: FeedbackStrategy, n_players: int, grid: 
     (the empirical mean has the same closure as the limit), which is measured
     but carries no N-trend.
     """
-    runs = [simulate_nplayer(spec, strategy, n_players, grid, xi0, seed + 613 * r,
+    games = simulate_nplayer(spec, strategy, n_players, grid, xi0,
+                             [seed + 613 * r for r in range(n_replicas)],
                              mean_source=mean_source)
-            for r in range(n_replicas)]
-    frozen = MeasureFlow(atoms=np.stack([run.states for run in runs]), grid=grid)
+    frozen = games.flow
 
     # fresh copy noise under each replica's common noise; copy 0 of every
     # replica is that replica's player 1
     dev_seed = seed + 10_000_019
     seeded = NoiseBundle(seed=dev_seed, n_paths=n_replicas, n_particles=n_copies, grid=grid)
     dW, init_states = seeded.dW.copy(order="K"), seeded.initial_states(xi0)
-    for r, run in enumerate(runs):
-        dW[r, 0] = run.noise.dW[0, 0]
-        init_states[r, 0] = run.states[0, 0]
-    dev_noise = NoiseBundle.from_arrays(
-        dev_seed, grid, dW, np.concatenate([run.noise.dW_common for run in runs], axis=0))
+    dW[:, 0] = games.noise.dW[:, 0]
+    init_states[:, 0] = games.states[:, 0, 0]
+    dev_noise = NoiseBundle.from_arrays(dev_seed, grid, dW, games.noise.dW_common)
 
-    strat_rule = strategy.control_rule(
-        np.stack([run.limit_means for run in runs]) if mean_source == "limit" else None)
+    strat_rule = strategy.control_rule(games.limit_means if mean_source == "limit" else None)
     strat_ens = simulate_forward(spec, strat_rule, dev_noise,
                                  init_states=init_states, frozen_flow=frozen)
     cost_strat = per_sample_costs(spec, strat_ens.states, strat_ens.controls, frozen, grid)
@@ -257,21 +267,23 @@ def population_cost_convergence(spec: ModelSpec, strategy: FeedbackStrategy, n_p
     finite empirical flow; its magnitude shrinks like the flow's sampling
     error as N grows.
     """
+    seeds = [int(seed) for seed in seeds]
+    games = simulate_nplayer(spec, strategy, n_players, grid, xi0, seeds, mean_source="limit")
     diffs = []
-    for seed in seeds:
-        run = simulate_nplayer(spec, strategy, n_players, grid, xi0, int(seed),
-                               mean_source="limit")
-        big_seed = int(seed) + 50_000_017
+    # the proxy runs one seed at a time: a batch would hold every seed's
+    # ``proxy_particles``-strong population at once
+    for g, seed in enumerate(seeds):
+        big_seed = seed + 50_000_017
         dW = NoiseBundle(seed=big_seed, n_paths=1, n_particles=proxy_particles,
                          grid=grid).dW.copy(order="K")
-        dW[0, :n_players] = run.noise.dW[0]
-        big = NoiseBundle.from_arrays(big_seed, grid, dW, run.noise.dW_common)
+        dW[0, :n_players] = games.noise.dW[g]
+        big = NoiseBundle.from_arrays(big_seed, grid, dW, games.noise.dW_common[g:g + 1])
         init = big.initial_states(xi0)
-        init[0, :n_players] = run.states[:, 0]
-        ens = simulate_forward(spec, strategy.control_rule(run.limit_means[None, :]), big,
+        init[0, :n_players] = games.states[g, :, 0]
+        ens = simulate_forward(spec, strategy.control_rule(games.limit_means[g:g + 1]), big,
                                init_states=init)
         proxy_costs = per_sample_costs(spec, ens.states, ens.controls, ens.flow, grid)[0, :n_players]
-        diffs.append(run.costs.mean() - proxy_costs.mean())
+        diffs.append(games.costs[g].mean() - proxy_costs.mean())
     diffs = np.asarray(diffs)
     return {"n_players": n_players, "mean_gap": float(diffs.mean()),
             "abs_gap": float(abs(diffs.mean())),

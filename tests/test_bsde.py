@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cnmfg import bsde
 from cnmfg.bsde import (SolutionBundle, TerminalCondition, check_terminal, control_rms,
                         first_order_residual, picard_solve, solution_distance, solution_norm,
                         solve_bsde_given_control, terminal_from_cost)
@@ -10,10 +11,11 @@ from cnmfg.errors import SolverError
 from cnmfg.forward_sim import (InitialLaw, NoiseBundle, OpenLoopControl, TimeGrid,
                                simulate_forward)
 from cnmfg.measures import MeasureFlow, constant_flow
-from cnmfg.lq_oracle import oracle_solution
+from cnmfg.lq_oracle import oracle_solution, solve_riccati
 from cnmfg.model import get_preset, hamiltonian_dx
 
 from cnmfg.mfg_solvers import solve_stitched
+from cnmfg.nplayer import FeedbackStrategy, simulate_nplayer
 
 from helpers import assert_steps_contiguous, count_f0u_calls, simple_spec
 
@@ -323,7 +325,8 @@ def test_backward_pass_matches_plain_lstsq_reference():
     terminal = terminal_from_cost(spec)
 
     def check(gate_plan, plan):
-        back = solve_bsde_given_control(spec, ens, ens.flow, terminal, noise, gate_plan=gate_plan)
+        back = solve_bsde_given_control(spec, ens, ens.flow, terminal, noise,
+                                        design=bsde._cross_path_design(spec, ens.flow, noise, gate_plan))
         p, q, qt, r2, degenerate = _reference_backward(spec, ens, noise, terminal, plan)
         for got, want in ((back.p, p), (back.q, q), (back.q_tilde, qt),
                           (back.diagnostics["r_squared"], r2)):
@@ -388,3 +391,47 @@ def test_quartic_solve_f0u_evaluation_count():
                           xi0=InitialLaw(kind="normal", mu=1.0, std=0.5), tol=preset.default_tol)
     assert len(bundle.residual_history) == 18
     assert calls[0] == 906
+
+
+def _counting_designs(monkeypatch):
+    """Wrap ``bsde._cross_path_design``; returns the list of designs it builds."""
+    built = []
+    real = bsde._cross_path_design
+
+    def counting(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(bsde, "_cross_path_design", counting)
+    return built
+
+
+def test_frozen_flow_solve_builds_its_design_once(monkeypatch):
+    # the frozen flow of a Nash deviation solve: 12 games of 4 players
+    preset = get_preset("lq")
+    spec, grid = preset.spec, TimeGrid(1.0, 25)
+    xi0 = InitialLaw(kind="normal", mu=1.0, std=0.5)
+    strategy = FeedbackStrategy.from_riccati(solve_riccati(preset.lq_params, grid))
+    flow = simulate_nplayer(spec, strategy, 4, grid, xi0, [11 + 613 * r for r in range(12)],
+                            mean_source="limit").flow
+    noise = NoiseBundle(seed=5, n_paths=12, n_particles=32, grid=grid)
+    built = _counting_designs(monkeypatch)
+    bundle = picard_solve(spec, noise, terminal_from_cost(spec), xi0=xi0, frozen_flow=flow,
+                          tol=1e-4)
+    assert len(bundle.residual_history) >= 3
+    assert len(built) == 1
+    fresh = bsde._cross_path_design(spec, flow, noise, {})
+    for reused, want in zip(built[0], fresh):
+        assert np.array_equal(reused, want)
+    # the z2 gates are in play, so a reuse that lost them would differ above
+    assert np.any(built[0][0][:, :, 4] != 0.0)
+
+
+def test_live_flow_solve_builds_its_design_every_sweep(monkeypatch):
+    preset = get_preset("lq_drift_coupled")
+    noise = NoiseBundle(seed=9, n_paths=8, n_particles=32, grid=TimeGrid(1.0, 10))
+    built = _counting_designs(monkeypatch)
+    bundle = picard_solve(preset.spec, noise, terminal_from_cost(preset.spec),
+                          xi0=InitialLaw(kind="normal", mu=1.0, std=0.5), tol=1e-4)
+    assert len(bundle.residual_history) >= 3
+    assert len(built) == len(bundle.residual_history)

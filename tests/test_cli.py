@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cnmfg import cli
 from cnmfg.cli import main
 from cnmfg.errors import ConfigError
 from cnmfg.records import RunConfig
@@ -218,3 +219,31 @@ def test_nash_command_small_scale(tmp_path):
     payload = json.loads((tmp_path / "nash" / "nash_report.json").read_text())
     assert set(payload["medians"]) == {"2", "8"}
     assert (tmp_path / "nash" / "nash_gaps.csv").exists()
+
+
+def test_nash_and_validate_draw_no_ensemble_noise(tmp_path, monkeypatch):
+    drawn = []
+    real = cli.NoiseBundle
+
+    def recording(*args, **kw):
+        bundle = real(*args, **kw)
+        drawn.append((bundle.n_paths, bundle.n_particles))
+        return bundle
+
+    monkeypatch.setattr(cli, "NoiseBundle", recording)
+    ensemble = (6, 40)
+    path = write_config(tmp_path / "cfg.json",
+                        grid={"horizon": 1.0, "n_steps": 12},
+                        ensemble={"n_common": ensemble[0], "n_particles": ensemble[1]},
+                        nash={"player_counts": [2, 4], "seeds": [0, 1],
+                              "n_replicas": 8, "n_copies": 16})
+    # an LQ nash run plays its games under the Riccati feedback
+    assert main(["nash", "--config", str(path)]) == 0
+    assert main(["validate", "--config", str(path)]) == 0
+    assert drawn == []
+    # the recorder sees the draw of a command that simulates the ensemble
+    assert main(["solve", "--config", str(path)]) == 0
+    assert drawn == [ensemble]
+    bad = write_config(tmp_path / "bad.json", preset="nonexistent")
+    for command in ("nash", "validate"):
+        assert main([command, "--config", str(bad)]) == 2

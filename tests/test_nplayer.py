@@ -2,11 +2,15 @@
 
 import numpy as np
 
-from cnmfg.forward_sim import InitialLaw, TimeGrid
+from cnmfg.bsde import picard_solve, terminal_from_cost
+from cnmfg.errors import SolverError
+from cnmfg.forward_sim import InitialLaw, NoiseBundle, TimeGrid, simulate_forward
 from cnmfg.lq_oracle import lq_cost_oracle, solve_riccati
-from cnmfg.model import get_preset
+from cnmfg.measures import MeasureFlow
+from cnmfg.model import get_preset, per_sample_costs
 from cnmfg.mfg_solvers import solve_scaled_fbsde
-from cnmfg.nplayer import FeedbackStrategy, gap_versus_n, nash_gap, simulate_nplayer
+from cnmfg.nplayer import (FeedbackStrategy, GapEstimate, gap_versus_n, nash_gap,
+                           population_cost_convergence, simulate_nplayer)
 
 GRID = TimeGrid(1.0, 50)
 XI0 = InitialLaw(kind="normal", mu=1.0, std=0.5)
@@ -18,8 +22,6 @@ def riccati_strategy(preset):
 
 def test_feedback_from_bundle_matches_riccati_feedback():
     preset = get_preset("lq")
-    from cnmfg.forward_sim import NoiseBundle
-
     noise = NoiseBundle(seed=3, n_paths=16, n_particles=96, grid=GRID)
     bundle = solve_scaled_fbsde(preset.spec, 1.0, XI0, None, noise, tol=3e-4)
     fitted = FeedbackStrategy.from_bundle(bundle)
@@ -34,43 +36,43 @@ def test_symmetric_players_zero_noise_identical_paths():
     preset = get_preset("lq", {"sigma0": 0.0, "sigma_tilde0": 0.0})
     strat = riccati_strategy(preset)
     sys = simulate_nplayer(preset.spec, strat, 8, GRID,
-                           InitialLaw(kind="constant", mu=1.0), seed=5)
-    assert np.max(np.abs(sys.states - sys.states[:1, :])) < 1e-12
-    assert np.max(np.abs(sys.costs - sys.costs[0])) < 1e-12
+                           InitialLaw(kind="constant", mu=1.0), seeds=[5])
+    states, costs = sys.states[0], sys.costs[0]
+    assert np.max(np.abs(states - states[:1, :])) < 1e-12
+    assert np.max(np.abs(costs - costs[0])) < 1e-12
 
 
 def test_exchangeability_under_relabeling():
     preset = get_preset("lq")
     strat = riccati_strategy(preset)
-    sys = simulate_nplayer(preset.spec, strat, 16, GRID, XI0, seed=9)
+    sys = simulate_nplayer(preset.spec, strat, 16, GRID, XI0, seeds=[9])
+    states, costs = sys.states[0], sys.costs[0]
     # relabeling players permutes rows: the empirical flow and the cost
     # multiset are invariant exactly
     perm = np.random.default_rng(0).permutation(16)
-    relabeled_states = sys.states[perm]
+    relabeled_states = states[perm]
     for n in (0, 25, 50):
-        assert np.array_equal(np.sort(relabeled_states[:, n]), np.sort(sys.states[:, n]))
-    assert np.array_equal(np.sort(sys.costs[perm]), np.sort(sys.costs))
+        assert np.array_equal(np.sort(relabeled_states[:, n]), np.sort(states[:, n]))
+    assert np.array_equal(np.sort(costs[perm]), np.sort(costs))
 
 
 def test_single_player_zero_coupling_reduces_to_single_agent_cost():
     flat = get_preset("lq", {"lam": 0.0, "lamg": 0.0, "kappa": 0.0})
     strat = riccati_strategy(flat)
-    sys = simulate_nplayer(flat.spec, strat, 1, GRID, XI0, seed=11)
+    sys = simulate_nplayer(flat.spec, strat, 1, GRID, XI0, seeds=[11])
     # single-agent reference: population-limit cost of the same feedback
     ref = lq_cost_oracle(flat.lq_params, XI0, GRID)
-    costs = []
-    for seed in range(40):
-        costs.append(simulate_nplayer(flat.spec, strat, 1, GRID, XI0, seed=100 + seed).costs[0])
+    costs = simulate_nplayer(flat.spec, strat, 1, GRID, XI0, seeds=range(100, 140)).costs[:, 0]
     assert abs(np.mean(costs) - ref) < 3 * np.std(costs) / np.sqrt(len(costs)) + 0.02 * abs(ref)
-    assert sys.costs.shape == (1,)
+    assert sys.costs.shape == (1, 1)
 
 
 def test_limit_mean_path_tracks_empirical_mean_for_large_n():
     preset = get_preset("lq")
     strat = riccati_strategy(preset)
-    sys = simulate_nplayer(preset.spec, strat, 4096, GRID, XI0, seed=13, mean_source="limit")
-    ode = sys.limit_means
-    emp = sys.states.mean(axis=0)
+    sys = simulate_nplayer(preset.spec, strat, 4096, GRID, XI0, seeds=[13], mean_source="limit")
+    ode = sys.limit_means[0]
+    emp = sys.states[0].mean(axis=0)
     assert np.max(np.abs(emp - ode)) < 0.05
 
 
@@ -95,21 +97,17 @@ def test_gap_positive_at_small_n_with_strong_coupling():
     # independent parametric deviation: a grid of feedback rescalings for
     # player 1 must already beat the shared strategy beyond noise, confirming
     # a genuine equilibrium gap without the regression solver
-    from cnmfg.forward_sim import FeedbackControl, NoiseBundle, simulate_forward
-    from cnmfg.measures import MeasureFlow
-    from cnmfg.model import per_sample_costs
+    from cnmfg.forward_sim import FeedbackControl
 
-    runs = [simulate_nplayer(firm.spec, strat, 2, GRID, XI0, seed=3 + 613 * r,
-                             mean_source="limit") for r in range(24)]
-    frozen = MeasureFlow(atoms=np.stack([r.states for r in runs]), grid=GRID)
+    games = simulate_nplayer(firm.spec, strat, 2, GRID, XI0, seeds=[3 + 613 * r for r in range(24)],
+                             mean_source="limit")
+    frozen = games.flow
     seeded = NoiseBundle(seed=3 + 10_000_019, n_paths=24, n_particles=2, grid=GRID)
     dW, init = seeded.dW.copy(order="K"), seeded.initial_states(XI0)
-    for r, run in enumerate(runs):
-        dW[r, 0] = run.noise.dW[0, 0]
-        init[r, 0] = run.states[0, 0]
-    dev_noise = NoiseBundle.from_arrays(seeded.seed, GRID, dW,
-                                        np.concatenate([r.noise.dW_common for r in runs], axis=0))
-    limit_matrix = np.stack([r.limit_means for r in runs])
+    dW[:, 0] = games.noise.dW[:, 0]
+    init[:, 0] = games.states[:, 0, 0]
+    dev_noise = NoiseBundle.from_arrays(seeded.seed, GRID, dW, games.noise.dW_common)
+    limit_matrix = games.limit_means
     base_rule = strat.control_rule()
 
     def leg(scale):
@@ -138,9 +136,114 @@ def test_gap_trend_and_average_cost_trend():
 
     # average realized player cost approaches the population-limit cost,
     # isolated by pairing every player against a large-population embedding
-    from cnmfg.nplayer import population_cost_convergence
-
     seeds = range(300, 340)
     gaps = [population_cost_convergence(preset.spec, strat, n_players, GRID, XI0, seeds)
             for n_players in (4, 16, 64)]
     assert gaps[0]["abs_gap"] > gaps[1]["abs_gap"] > gaps[2]["abs_gap"]
+
+
+# ---------------------------------------------------------------------------
+# Batched games: each game of a batch is the game played alone
+# ---------------------------------------------------------------------------
+
+SHORT = TimeGrid(1.0, 20)
+
+
+def test_batched_games_equal_single_games():
+    lq = get_preset("lq")
+    strat = FeedbackStrategy.from_riccati(solve_riccati(lq.lq_params, SHORT))
+    seeds = [5, 6, 7]
+    # tanh_drift reads its measure argument through a nonlinear coefficient
+    for spec in (lq.spec, get_preset("tanh_drift").spec):
+        for n_players in (1, 6):
+            for source in ("empirical", "limit"):
+                batch = simulate_nplayer(spec, strat, n_players, SHORT, XI0, seeds,
+                                         mean_source=source)
+                assert batch.states.shape == (3, n_players, 21)
+                assert batch.costs.shape == (3, n_players)
+                assert batch.n_players == n_players
+                for g, seed in enumerate(seeds):
+                    alone = simulate_nplayer(spec, strat, n_players, SHORT, XI0, [seed],
+                                             mean_source=source)
+                    for name in ("states", "controls", "costs"):
+                        assert np.array_equal(getattr(batch, name)[g], getattr(alone, name)[0])
+                    if source == "limit":
+                        assert np.array_equal(batch.limit_means[g], alone.limit_means[0])
+                    else:
+                        assert batch.limit_means is None and alone.limit_means is None
+
+
+def _reference_nash_gap(spec, strategy, n_players, grid, xi0, seed, *, n_copies, n_replicas,
+                        solver_tol, max_iter=60, mean_source="limit"):
+    """The estimator with one game played per replica."""
+    runs = [simulate_nplayer(spec, strategy, n_players, grid, xi0, [seed + 613 * r],
+                             mean_source=mean_source) for r in range(n_replicas)]
+    frozen = MeasureFlow(atoms=np.concatenate([run.states for run in runs]), grid=grid)
+    dev_seed = seed + 10_000_019
+    seeded = NoiseBundle(seed=dev_seed, n_paths=n_replicas, n_particles=n_copies, grid=grid)
+    dW, init_states = seeded.dW.copy(order="K"), seeded.initial_states(xi0)
+    for r, run in enumerate(runs):
+        dW[r, 0] = run.noise.dW[0, 0]
+        init_states[r, 0] = run.states[0, 0, 0]
+    dev_noise = NoiseBundle.from_arrays(
+        dev_seed, grid, dW, np.concatenate([run.noise.dW_common for run in runs], axis=0))
+    strat_rule = strategy.control_rule(
+        np.concatenate([run.limit_means for run in runs]) if mean_source == "limit" else None)
+    strat_ens = simulate_forward(spec, strat_rule, dev_noise,
+                                 init_states=init_states, frozen_flow=frozen)
+    cost_strat = per_sample_costs(spec, strat_ens.states, strat_ens.controls, frozen, grid)
+    try:
+        dev = picard_solve(spec, dev_noise, terminal_from_cost(spec), init_states=init_states,
+                           frozen_flow=frozen, tol=solver_tol, max_iter=max_iter)
+    except SolverError:
+        return GapEstimate(gap=float("nan"), stderr=float("nan"),
+                           cost_strategy=float(np.mean(cost_strat)),
+                           cost_deviation=float("nan"), n_players=n_players,
+                           n_copies=n_copies, n_replicas=n_replicas, inconclusive=True)
+    cost_dev = per_sample_costs(spec, dev.states, dev.controls, frozen, grid)
+    dev_class = np.minimum(cost_dev[:, 0], cost_strat[:, 0])
+    diff = cost_strat[:, 0] - dev_class
+    return GapEstimate(gap=float(np.mean(diff)),
+                       stderr=float(np.std(diff, ddof=1) / np.sqrt(n_replicas)),
+                       cost_strategy=float(np.mean(cost_strat[:, 0])),
+                       cost_deviation=float(np.mean(dev_class)),
+                       n_players=n_players, n_copies=n_copies, n_replicas=n_replicas)
+
+
+def _reference_population_cost_convergence(spec, strategy, n_players, grid, xi0, seeds, *,
+                                           proxy_particles=1024):
+    """The paired proxy comparison with one game played per seed."""
+    diffs = []
+    for seed in seeds:
+        run = simulate_nplayer(spec, strategy, n_players, grid, xi0, [seed], mean_source="limit")
+        big_seed = seed + 50_000_017
+        dW = NoiseBundle(seed=big_seed, n_paths=1, n_particles=proxy_particles,
+                         grid=grid).dW.copy(order="K")
+        dW[0, :n_players] = run.noise.dW[0]
+        big = NoiseBundle.from_arrays(big_seed, grid, dW, run.noise.dW_common)
+        init = big.initial_states(xi0)
+        init[0, :n_players] = run.states[0, :, 0]
+        ens = simulate_forward(spec, strategy.control_rule(run.limit_means), big, init_states=init)
+        proxy = per_sample_costs(spec, ens.states, ens.controls, ens.flow, grid)[0, :n_players]
+        diffs.append(run.costs[0].mean() - proxy.mean())
+    diffs = np.asarray(diffs)
+    return {"n_players": n_players, "mean_gap": float(diffs.mean()),
+            "abs_gap": float(abs(diffs.mean())),
+            "stderr": float(diffs.std(ddof=1) / np.sqrt(len(diffs)))}
+
+
+def test_batched_estimators_equal_per_replica_reference():
+    preset = get_preset("lq")
+    strat = FeedbackStrategy.from_riccati(solve_riccati(preset.lq_params, SHORT))
+    for n_players in (1, 4):
+        for source in ("limit", "empirical"):
+            kw = dict(n_copies=16, n_replicas=8, solver_tol=1e-3, mean_source=source)
+            got = nash_gap(preset.spec, strat, n_players, SHORT, XI0, 21, **kw)
+            want = _reference_nash_gap(preset.spec, strat, n_players, SHORT, XI0, 21, **kw)
+            assert not got.inconclusive
+            assert got.to_dict() == want.to_dict()
+        got = population_cost_convergence(preset.spec, strat, n_players, SHORT, XI0, range(30, 34),
+                                          proxy_particles=64)
+        want = _reference_population_cost_convergence(preset.spec, strat, n_players, SHORT, XI0,
+                                                      range(30, 34), proxy_particles=64)
+        assert got == want
