@@ -18,15 +18,14 @@ from .model import (ConditionReport, CostSpec, LinearCoefficient, ModelSpec, Pre
                     sufficient_condition_report, validate_assumptions, SHIPPED_PRESETS)
 from .forward_sim import (FeedbackControl, InitialLaw, NoiseBundle, OpenLoopControl,
                           ParticleEnsemble, TimeGrid, simulate_forward)
-from .bsde import (BackwardSolution, SolutionBundle, TerminalCondition, check_terminal,
-                   control_rms, first_order_residual, picard_solve, solution_distance,
-                   solution_norm, solve_bsde_given_control, terminal_from_cost)
-from .lq_oracle import (LQParameters, RiccatiSolution, conditional_mean_path, lq_cost_oracle,
-                        oracle_solution, solve_riccati)
+from .bsde import (BackwardSolution, SolutionBundle, control_rms, first_order_residual,
+                   picard_solve, solution_distance, solution_norm, solve_bsde_given_control,
+                   terminal_from_cost)
+from .lq_oracle import LQParameters, RiccatiSolution, lq_cost_oracle, oracle_solution, solve_riccati
 from .mfg_solvers import (ContinuationState, DecouplingField, InputPerturbation, StitchReport,
                           UniquenessReport, fit_decoupling_field, interval_best_response,
                           solve_continuation, solve_scaled_fbsde, solve_stitched,
                           uniqueness_check)
 from .nplayer import (FeedbackStrategy, GapEstimate, PlayerSystem, gap_versus_n,
                       limit_mean_path, nash_gap, population_cost_convergence, simulate_nplayer)
-from .records import RunConfig, SolverReport
+from .records import RunConfig

@@ -26,6 +26,10 @@ The coupled solve iterates: simulate forward under the current control, solve
 backward, replace the control by the pointwise Hamiltonian minimizer, with
 adaptive damping, until the control stops moving in time-space rms.
 
+A terminal condition is a callable (x, m) -> p_T of the last node's states
+and per-path laws (``m.mean``, ``m.atoms``): the terminal-cost gradient, or a
+fitted decoupling field on an interval of the horizon.
+
 Every solve runs on the whole grid of its noise bundle: backward step n reads
 node n of the states, the flow, the noise and the grid, with no offset.  An
 interval of the horizon is solved on ``NoiseBundle.window``; a frozen flow
@@ -42,56 +46,16 @@ import numpy as np
 from .errors import SolverError
 from .forward_sim import (InitialLaw, NoiseBundle, OpenLoopControl, ParticleEnsemble, TimeGrid,
                           particle_array, simulate_forward, time_major)
-from .measures import MeasureFlow, PathLaws
-from .model import ModelSpec, hamiltonian_dx, minimize_hamiltonian_values
+from .measures import MeasureFlow
+from .model import ModelSpec, control_loading, hamiltonian_dx, minimize_hamiltonian_values
 
 # floor of the Picard damping factor, which starts at 1 (the undamped map)
 _MIN_DAMPING = 0.02
 
 
-@dataclass
-class TerminalCondition:
-    """Terminal adjoint rule p_T = evaluate(x, m) for a per-path law view m.
-
-    ``m`` is read like a cost's measure argument (``m.mean``, ``m.atoms``).
-    ``lipschitz`` is the plain Lipschitz constant in (x, conditional state),
-    ``monotone`` asserts nondecreasing dependence on x; both are sampling-level
-    contracts checked by ``check_terminal``.
-    """
-
-    evaluate: Callable[..., np.ndarray]
-    lipschitz: float
-    monotone: bool = True
-    label: str = "terminal"
-
-
-def terminal_from_cost(spec: ModelSpec) -> TerminalCondition:
-    """Terminal condition read from the terminal-cost gradient."""
-    return TerminalCondition(evaluate=spec.cost.gx, lipschitz=spec.terminal_lipschitz,
-                             monotone=True, label="terminal_cost_gradient")
-
-
-def check_terminal(tc: TerminalCondition, rng: np.random.Generator, *,
-                   x_range: tuple[float, float] = (-5.0, 5.0), n: int = 200,
-                   tol_mono: float = 1e-9) -> dict:
-    """Sampled monotonicity and Lipschitz diagnostics for a terminal condition."""
-    lo, hi = x_range
-    xs = rng.uniform(lo, hi, size=(n, 2))
-    means = rng.uniform(lo, hi, size=(n, 1))
-    # two-atom laws with the sampled mean and a variance drawn from [0, 4)
-    spread = np.sqrt(rng.uniform(0.0, 4.0, size=(n, 1)))
-    law = PathLaws(mean=means, atoms=means + spread * np.array([-1.0, 1.0]))
-    v1 = tc.evaluate(xs[:, :1], law)
-    v2 = tc.evaluate(xs[:, 1:], law)
-    dx = xs[:, 1:] - xs[:, :1]
-    mono_min = float(np.min((v2 - v1) * dx))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.abs(v2 - v1) / np.abs(dx)
-    lip_max = float(np.nanmax(np.where(np.abs(dx) > 1e-9, ratios, np.nan)))
-    return {"monotone_min": mono_min,
-            "monotone_ok": (not tc.monotone) or mono_min >= -tol_mono,
-            "lipschitz_max": lip_max,
-            "lipschitz_ok": lip_max <= tc.lipschitz * 1.01}
+def terminal_from_cost(spec: ModelSpec) -> Callable[..., np.ndarray]:
+    """Terminal condition p_T = gx(x, m), the terminal-cost gradient."""
+    return spec.cost.gx
 
 
 @dataclass
@@ -153,9 +117,8 @@ def first_order_residual(spec: ModelSpec, bundle: SolutionBundle) -> float:
     count = 0
     for step in range(bundle.controls.shape[2]):
         t = nodes[step]
-        r = (spec.drift.phi2(t) * bundle.p[:, :, step]
-             + spec.vol.phi2(t) * bundle.q[:, :, step]
-             + spec.vol_common.phi2(t) * bundle.q_tilde[:, :, step]
+        r = (control_loading(spec, t, bundle.p[:, :, step], bundle.q[:, :, step],
+                             bundle.q_tilde[:, :, step])
              + np.asarray(spec.cost.f0u(t, bundle.states[:, :, step], bundle.controls[:, :, step])))
         total += float(np.sum(r ** 2))
         count += r.size
@@ -219,7 +182,7 @@ def _cross_path_design(spec: ModelSpec, flow: MeasureFlow, noise: NoiseBundle,
 
 
 def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: MeasureFlow,
-                             terminal: TerminalCondition, noise: NoiseBundle,
+                             terminal: Callable[..., np.ndarray], noise: NoiseBundle,
                              *, gamma: float = 1.0, input_f: np.ndarray | None = None,
                              input_g: np.ndarray | None = None,
                              design: tuple[np.ndarray, np.ndarray] | None = None
@@ -243,7 +206,7 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
     p = particle_array(m, k, span + 1)
     q = particle_array(m, k, span)
     qt = particle_array(m, k, span)
-    terminal_values = gamma * np.asarray(terminal.evaluate(states[:, :, -1], flow.at(span)))
+    terminal_values = gamma * np.asarray(terminal(states[:, :, -1], flow.at(span)))
     if input_g is not None:
         terminal_values = terminal_values + input_g
     p[:, :, span] = terminal_values
@@ -311,7 +274,7 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
 # ---------------------------------------------------------------------------
 
 
-def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: TerminalCondition, *,
+def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: Callable[..., np.ndarray], *,
                  xi0: InitialLaw | None = None, init_states: np.ndarray | None = None,
                  frozen_flow: MeasureFlow | None = None, gamma: float = 1.0,
                  inputs: dict | None = None, u0: np.ndarray | None = None,

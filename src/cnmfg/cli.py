@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .bsde import (control_rms, first_order_residual, picard_solve, solution_norm,
                    terminal_from_cost)
 from .errors import CnmfgError, ConfigError, ModelError, SolverError
@@ -26,7 +27,7 @@ from .model import (cost_functional, get_preset, preset_names, sufficient_condit
                     validate_assumptions)
 from .mfg_solvers import solve_continuation, solve_scaled_fbsde, solve_stitched
 from .nplayer import FeedbackStrategy, gap_versus_n, population_cost_convergence
-from .records import RunConfig, RunWriter, SolverReport, timer
+from .records import RunConfig, RunWriter, timer
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -138,19 +139,20 @@ def cmd_solve(args) -> int:
                                     max_iter=cfg.max_iter)
     elapsed = timer() - t0
 
-    report = SolverReport(
-        method=method, config=cfg.to_dict(), config_hash=cfg.config_hash(), seed=cfg.seed,
-        residual_history=bundle.residual_history, contraction_ratios=ratios, schedule=schedule,
-        condition_report=sufficient_condition_report(preset.spec).to_dict(),
-        first_order_residual=bundle.diagnostics.get("first_order_residual"),
-        solution_norm=solution_norm(bundle),
-        warnings=bundle.diagnostics.get("warnings", []),
-        wall_clock_seconds=elapsed,
-        extra={"iterations": bundle.diagnostics.get("iterations"),
-               "cost": cost_functional(preset.spec, bundle),
-               "regression_r2_min": (float(np.min(bundle.diagnostics["r_squared"]))
-                                     if "r_squared" in bundle.diagnostics else None)},
-    )
+    report = {
+        "method": method, "config": cfg.to_dict(), "config_hash": cfg.config_hash(),
+        "seed": cfg.seed, "residual_history": bundle.residual_history,
+        "contraction_ratios": ratios, "schedule": schedule,
+        "condition_report": sufficient_condition_report(preset.spec).to_dict(),
+        "first_order_residual": bundle.diagnostics.get("first_order_residual"),
+        "solution_norm": solution_norm(bundle),
+        "warnings": bundle.diagnostics.get("warnings", []),
+        "wall_clock_seconds": elapsed, "artifact_version": __version__,
+        "extra": {"iterations": bundle.diagnostics.get("iterations"),
+                  "cost": cost_functional(preset.spec, bundle),
+                  "regression_r2_min": (float(np.min(bundle.diagnostics["r_squared"]))
+                                        if "r_squared" in bundle.diagnostics else None)},
+    }
     writer.npz("solution.npz", states=bundle.states, controls=bundle.controls, p=bundle.p,
                q=bundle.q, q_tilde=bundle.q_tilde)
     writer.csv("residuals.csv", ["iteration", "residual"],
@@ -161,7 +163,7 @@ def cmd_solve(args) -> int:
     if preset.lq_params is not None:
         writer.csv("riccati.csv", ["t", "a", "b", "c"],
                    solve_riccati(preset.lq_params, grid).export_rows())
-    writer.json("report.json", report.to_dict())
+    writer.json("report.json", report)
     stage = (f"stages={len(schedule)}" if schedule
              else f"iters={len(bundle.residual_history)}")
     print(f"solve[{method}] preset={cfg.preset} residual={bundle.residual_history[-1]:.3e} "

@@ -258,22 +258,6 @@ def oracle_solution(params: LQParameters, noise: NoiseBundle, xi0: InitialLaw,
                                        "matching_residual_max": rs.matching_residual_max})
 
 
-def conditional_mean_path(params: LQParameters, rs: RiccatiSolution, m0: float,
-                          dw_common: np.ndarray) -> np.ndarray:
-    """Euler integration of the closed conditional-mean dynamics on one common path."""
-    n = dw_common.size
-    dt = rs.grid.dt
-    out = np.empty(n + 1)
-    out[0] = m0
-    for i in range(n):
-        alpha, beta, gamma_c = rs.feedback_at(i)
-        ubar = (alpha + beta) * out[i] + gamma_c
-        drift = params.b0 + (params.kappa + params.b1) * out[i] + params.b2 * ubar
-        diff = (params.sigma_tilde0 + params.sigma_tilde1 * out[i] + params.sigma_tilde2 * ubar)
-        out[i + 1] = out[i] + drift * dt + diff * dw_common[i]
-    return out
-
-
 def _initial_moments(xi0: InitialLaw) -> tuple[float, float]:
     if xi0.kind == "constant":
         return xi0.mu, xi0.mu ** 2

@@ -122,10 +122,10 @@ class MeasureFlow:
 
     ``atoms[j, :, n]`` holds the atoms of the measure for common path j at grid
     node n; the array is stored time-major (see ``particle_array``).  The atom
-    count per measure is uniform but may differ from the particle count of an
-    ensemble the flow is compared against.  Atoms are never written after a
-    flow is built, so its means and sorted atoms are computed once and kept: a
-    solver comparing each sweep's flow with the last sorts every flow once.
+    count per measure is uniform (a Dirac flow has one atom).  Atoms are never
+    written after a flow is built, so its means and sorted atoms are computed
+    once and kept: a solver comparing each sweep's flow with the last sorts
+    every flow once.
     """
 
     atoms: np.ndarray
@@ -166,20 +166,13 @@ class MeasureFlow:
         return PathLaws(mean=self.means[:, n, None], atoms=self.atoms[:, :, n])
 
     def node_distance(self, other: "MeasureFlow") -> float:
-        """Sup over (node, path) of the per-node Wasserstein distance; solver metric."""
-        if self.atoms.shape[0] != other.atoms.shape[0] or self.atoms.shape[2] != other.atoms.shape[2]:
-            raise MeasureError("measure flows are not on a common (path, node) layout")
+        """Sup over (node, path) of the W2 distance between flows of one shape; solver metric."""
+        if self.atoms.shape != other.atoms.shape:
+            raise MeasureError("measure flows are not on a common (path, atom, node) layout")
         for flow in (self, other):
             if flow._sorted is None:
                 flow._sorted = np.sort(flow.atoms, axis=1)
-        a, b = self._sorted, other._sorted
-        if a.shape[1] != b.shape[1]:
-            common = math.lcm(a.shape[1], b.shape[1])
-            if common > _MAX_REFINED_ATOMS:
-                raise MeasureError("incompatible supports between measure flows")
-            a = np.repeat(a, common // a.shape[1], axis=1)
-            b = np.repeat(b, common // b.shape[1], axis=1)
-        w2_sq = np.mean((a - b) ** 2, axis=1)
+        w2_sq = np.mean((self._sorted - other._sorted) ** 2, axis=1)
         return float(np.sqrt(np.max(w2_sq)))
 
 
@@ -213,11 +206,6 @@ class Coupling:
         if np.max(np.abs(row - 1.0 / self.m1.n_atoms)) > 1e-12 or np.max(np.abs(col - 1.0 / self.m2.n_atoms)) > 1e-12:
             raise MeasureError("coupling marginals do not reproduce the uniform weights")
         object.__setattr__(self, "weights", w)
-
-    def transport_cost(self) -> float:
-        """Quadratic transport cost of this coupling (root of the weighted squared gap)."""
-        diff = self.m1.atoms[:, None] - self.m2.atoms[None, :]
-        return float(np.sqrt(np.sum(self.weights * diff ** 2)))
 
     def expectation(self, fn) -> float:
         """Weighted expectation of fn(x, y) over the coupling."""

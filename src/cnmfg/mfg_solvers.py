@@ -16,9 +16,10 @@ solvers implement numerically:
   against the frozen population is iterated to its fixed point (a contraction
   for short intervals when the control enters the volatilities weakly), and
   the interval boundary value of the adjoint is regressed into an affine
-  decoupling field v(x, mean) that serves as the terminal condition of the
-  next interval to the left.  A final left-to-right pass re-solves every
-  interval from the achieved states and concatenates the controls.
+  decoupling field v(x, mean) whose callable (x, m) -> v(x, m.mean) is the
+  terminal condition p_T of the next interval to the left.  A final
+  left-to-right pass re-solves every interval from the achieved states and
+  concatenates the controls.
 
 Both solvers fix the noise bundle across all iterations (common random
 numbers), so every inner map is deterministic and observed contraction ratios
@@ -29,18 +30,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .bsde import (SolutionBundle, TerminalCondition, control_rms, first_order_residual,
-                   picard_solve, solution_distance, terminal_from_cost)
-from .errors import SolverError
+from .bsde import (SolutionBundle, control_rms, first_order_residual, picard_solve,
+                   solution_distance, terminal_from_cost)
+from .errors import ModelError, SimulationError, SolverError
 from .forward_sim import (InitialLaw, NoiseBundle, OpenLoopControl, particle_array,
                           simulate_forward, time_major)
 from .measures import MeasureFlow
 from .model import ModelSpec, hamiltonian_dx
 
-_TOL_MONO_FIELD = 1e-6
 # inner tolerance of a continuation step per unit of its previous outer distance
 _FORCING = 0.05
 
@@ -171,7 +172,8 @@ def solve_continuation(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle,
     with those inputs warm-started from the iterate, measure the solution-norm
     distance.  eta is halved when the observed ratio reaches 0.9 (and the step
     retried), doubled back toward eta0 after two clean steps, and the solver
-    stalls out below eta = 1e-3.  An inner SolverError fails the step too.
+    stalls out below eta = 1e-3.  An inner SolverError, SimulationError or
+    ModelError fails the step too.
 
     The inner solves are inexact (a forcing-term rule, as in inexact Newton
     methods): outer iteration k solves to max(inner_tol, _FORCING * d_{k-1}),
@@ -207,7 +209,8 @@ def solve_continuation(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle,
             try:
                 nxt = solve_scaled_fbsde(spec, state.gamma, xi0, inputs, noise,
                                          u0=iterate.controls, tol=inner, max_iter=max_iter_inner)
-            except SolverError as err:      # an inner cap or flow divergence fails the step
+            # an inner cap, flow divergence, non-finite state or minimizer failure fails the step
+            except (SolverError, SimulationError, ModelError) as err:
                 failure = err
                 break
             d = solution_distance(nxt, iterate)
@@ -253,9 +256,7 @@ class DecouplingField:
     """Affine boundary representation of the adjoint: v(x, mean) at one time.
 
     Fitted by pooled least squares from (state, conditional mean, adjoint)
-    samples at an interval boundary.  ``c_v`` is the plain Lipschitz constant
-    of the affine map; ``monotone`` requires a nonnegative state slope up to
-    the fitting tolerance.
+    samples at an interval boundary.
     """
 
     tau: float
@@ -268,26 +269,12 @@ class DecouplingField:
         if not np.isfinite([self.intercept, self.slope_x, self.slope_mean]).all():
             raise SolverError("decoupling field fit produced non-finite coefficients")
 
-    @property
-    def c_v(self) -> float:
-        return math.hypot(self.slope_x, self.slope_mean)
-
-    @property
-    def monotone(self) -> bool:
-        return self.slope_x >= -_TOL_MONO_FIELD
-
     def evaluate(self, x, mean):
         return self.intercept + self.slope_x * np.asarray(x) + self.slope_mean * np.asarray(mean)
 
-    def as_terminal(self) -> TerminalCondition:
-        return TerminalCondition(evaluate=lambda x, m: self.evaluate(x, m.mean),
-                                 lipschitz=max(self.c_v, 1e-12),
-                                 monotone=self.monotone, label=f"decoupling_field@{self.tau:.4f}")
-
-    def to_dict(self) -> dict:
-        return {"tau": self.tau, "intercept": self.intercept, "slope_x": self.slope_x,
-                "slope_mean": self.slope_mean, "c_v": self.c_v, "monotone": self.monotone,
-                "r_squared": self.r_squared}
+    def as_terminal(self) -> Callable[..., np.ndarray]:
+        """The field as a terminal condition (x, m) -> v(x, m.mean)."""
+        return lambda x, m: self.evaluate(x, m.mean)
 
 
 def fit_decoupling_field(tau: float, states: np.ndarray, means: np.ndarray,
@@ -306,7 +293,7 @@ def fit_decoupling_field(tau: float, states: np.ndarray, means: np.ndarray,
 
 
 def interval_best_response(spec: ModelSpec, u_hat: np.ndarray, n_lo: int, n_hi: int,
-                           init_states: np.ndarray, terminal: TerminalCondition,
+                           init_states: np.ndarray, terminal: Callable[..., np.ndarray],
                            noise: NoiseBundle, *, inner_tol: float = 1e-5,
                            max_iter: int = 60) -> SolutionBundle:
     """One application of the interval map: population under u_hat, then best response.
@@ -367,8 +354,9 @@ def solve_stitched(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle, *,
     (rightmost first, terminal cost gradient at the right end, fitted fields
     further left) from provisional boundary states; a forward pass re-solves
     every interval from achieved states and concatenates controls.  Any
-    SolverError in a pass (no contraction, an inner cap, a non-monotone field)
-    halves the interval length and restarts, up to ``max_halvings`` times.
+    SolverError in a pass (no contraction, an inner cap, a non-monotone field),
+    SimulationError or ModelError halves the interval length and restarts, up
+    to ``max_halvings`` times.
     """
     n = noise.grid.n_steps
     inner_tol = max(tol / 5.0, 1e-7)
@@ -384,11 +372,12 @@ def solve_stitched(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle, *,
         try:
             return _run_stitch(spec, xi0, noise, bounds, tol, inner_tol, max_fp_iter,
                                global_passes, init_full, halving, u0)
-        except SolverError as err:
+        except (SolverError, SimulationError, ModelError) as err:
             frac /= 2.0
             failure = err
     raise SolverError(f"interval fixed point failed to contract after {max_halvings} halvings; "
-                      f"last failure: {failure}", history=failure.history) from failure
+                      f"last failure: {failure}",
+                      history=getattr(failure, "history", {})) from failure
 
 
 def _run_stitch(spec, xi0, noise, bounds, tol, inner_tol, max_fp_iter, global_passes,
@@ -411,7 +400,7 @@ def _run_stitch(spec, xi0, noise, bounds, tol, inner_tol, max_fp_iter, global_pa
         prov = simulate_forward(spec, OpenLoopControl(u_full), noise, xi0=xi0,
                                 init_states=init_full)
         # backward pass: fixed points from provisional states, fit boundary fields
-        fields: dict[int, TerminalCondition] = {n_int: terminal_cost}
+        fields: dict[int, Callable[..., np.ndarray]] = {n_int: terminal_cost}
         field_objs: list[DecouplingField] = []
         ratios, iters = [], []
         finals_hist: list[float] = []
@@ -496,22 +485,19 @@ class UniquenessReport:
     def passed(self) -> bool:
         return (not self.inconclusive) and self.max_distance <= 5.0 * self.tol
 
-    def to_dict(self) -> dict:
-        return {"solver": self.solver, "n_starts": self.n_starts,
-                "max_distance": self.max_distance, "distances": self.distances,
-                "tol": self.tol, "inconclusive": self.inconclusive,
-                "condition_ok": self.condition_ok, "passed": self.passed}
-
 
 def uniqueness_check(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle, n_starts: int,
                      tol: float = 1e-4, *, solver: str = "direct", seed: int = 0,
                      start_scale: float = 0.5, condition_ok: bool = True) -> UniquenessReport:
     """Solve from randomized initial control guesses and compare the endpoints.
 
+    Each start is a direct solve, the only ``solver`` there is.
     ``condition_ok`` records whether the smallness condition backing the
     uniqueness statement holds; a violated condition never blocks the check,
     the distances are simply reported without an assertion.
     """
+    if solver != "direct":
+        raise SolverError(f"unknown solver {solver!r}")
     grid = noise.grid
     shape = (noise.n_paths, noise.n_particles, grid.n_steps)
     finals = []
@@ -520,14 +506,7 @@ def uniqueness_check(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle, n_sta
         rng = np.random.default_rng(seed + 7919 * s)
         u0 = np.zeros(shape) if s == 0 else start_scale * rng.standard_normal(shape)
         try:
-            if solver == "direct":
-                bundle = solve_scaled_fbsde(spec, 1.0, xi0, None, noise, u0=u0, tol=tol)
-            elif solver == "continuation":
-                bundle, _ = solve_continuation(spec, xi0, noise, tol=tol, u0=u0)
-            elif solver == "stitched":
-                bundle, _ = solve_stitched(spec, xi0, noise, tol=tol, u0=u0)
-            else:
-                raise SolverError(f"unknown solver {solver!r}")
+            bundle = solve_scaled_fbsde(spec, 1.0, xi0, None, noise, u0=u0, tol=tol)
         except SolverError:
             inconclusive = True
             continue

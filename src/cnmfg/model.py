@@ -162,6 +162,14 @@ def hamiltonian_dx(spec: ModelSpec, t: float, x: ArrayLike, p: ArrayLike, q: Arr
     return total + spec.cost.f0x(t, x, u) + spec.cost.f1x(t, x, m)
 
 
+def control_loading(spec: ModelSpec, t: float, p: ArrayLike, q: ArrayLike,
+                    q_tilde: ArrayLike) -> np.ndarray:
+    """The Hamiltonian's control loading b2 p + sigma2 q + sigma_tilde2 q_tilde."""
+    return (spec.drift.phi2(t) * np.asarray(p, dtype=float)
+            + spec.vol.phi2(t) * np.asarray(q, dtype=float)
+            + spec.vol_common.phi2(t) * np.asarray(q_tilde, dtype=float))
+
+
 _ROOT_TOL = 1e-10
 
 
@@ -181,9 +189,7 @@ def minimize_hamiltonian_values(spec: ModelSpec, t: float, x: np.ndarray, p: np.
     the iteration at once and comes back as NaN in its elements.
     """
     x = np.asarray(x, dtype=float)
-    const = (spec.drift.phi2(t) * np.asarray(p, dtype=float)
-             + spec.vol.phi2(t) * np.asarray(q, dtype=float)
-             + spec.vol_common.phi2(t) * np.asarray(q_tilde, dtype=float))
+    const = control_loading(spec, t, p, q, q_tilde)
     cost = spec.cost
     if cost.f0u_slope is not None:
         zero = np.zeros_like(x)

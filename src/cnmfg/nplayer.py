@@ -85,10 +85,6 @@ class PlayerSystem:
     limit_means: np.ndarray | None = None   # (n_games, n_nodes)
 
     @property
-    def n_players(self) -> int:
-        return self.states.shape[1]
-
-    @property
     def flow(self) -> MeasureFlow:
         return MeasureFlow(atoms=self.states, grid=self.grid)
 

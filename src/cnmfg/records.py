@@ -1,4 +1,4 @@
-"""Run configuration, artifact writers, and the solver report record.
+"""Run configuration and artifact writers.
 
 A solve's arrays go to one ``.npz`` archive, read back bit for bit; series go
 to CSV and each run's summary to JSON.  Every artifact carries the
@@ -180,44 +180,6 @@ class RunConfig:
         del payload["output_dir"]
         canon = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-@dataclass
-class SolverReport:
-    """Structured summary of one solve: reproducible given config and seed."""
-
-    method: str
-    config: dict
-    config_hash: str
-    seed: int
-    residual_history: list = field(default_factory=list)
-    contraction_ratios: list = field(default_factory=list)
-    schedule: list = field(default_factory=list)
-    condition_report: dict = field(default_factory=dict)
-    first_order_residual: float | None = None
-    solution_norm: float | None = None
-    warnings: list = field(default_factory=list)
-    wall_clock_seconds: float = 0.0
-    artifact_version: str = __version__
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "residual_history": [float(r) for r in self.residual_history],
-            "contraction_ratios": [float(r) for r in self.contraction_ratios],
-            "schedule": self.schedule,
-            "condition_report": self.condition_report,
-            "first_order_residual": self.first_order_residual,
-            "solution_norm": self.solution_norm,
-            "warnings": list(self.warnings),
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "artifact_version": self.artifact_version,
-            "extra": self.extra,
-        }
 
 
 class RunWriter:

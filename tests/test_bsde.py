@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cnmfg import bsde
-from cnmfg.bsde import (SolutionBundle, TerminalCondition, check_terminal, control_rms,
-                        first_order_residual, picard_solve, solution_distance, solution_norm,
-                        solve_bsde_given_control, terminal_from_cost)
+from cnmfg.bsde import (SolutionBundle, control_rms, first_order_residual, picard_solve,
+                        solution_distance, solution_norm, solve_bsde_given_control,
+                        terminal_from_cost)
 from cnmfg.errors import SolverError
 from cnmfg.forward_sim import (InitialLaw, NoiseBundle, OpenLoopControl, TimeGrid,
                                simulate_forward)
@@ -32,8 +32,7 @@ def test_constant_terminal_no_driver():
     noise = NoiseBundle(seed=1, n_paths=6, n_particles=64, grid=grid)
     spec = simple_spec(s0=0.5, st0=0.3)
     ens = _ensemble(spec, noise, InitialLaw(kind="normal", mu=0.0, std=1.0))
-    tc = TerminalCondition(evaluate=lambda x, m: 3.5 + 0.0 * x, lipschitz=0.0)
-    back = solve_bsde_given_control(spec, ens, ens.flow, tc, noise)
+    back = solve_bsde_given_control(spec, ens, ens.flow, lambda x, m: 3.5 + 0.0 * x, noise)
     # exact up to the ridge bias of the regularized per-path regressions
     assert np.max(np.abs(back.p - 3.5)) < 1e-6
     assert np.max(np.abs(back.q)) < 1e-6
@@ -62,8 +61,7 @@ def test_martingale_representation_identity_terminal():
     noise = NoiseBundle(seed=2, n_paths=8, n_particles=4096, grid=grid)
     spec = simple_spec(s0=1.0)
     ens = _ensemble(spec, noise, InitialLaw(kind="normal", mu=0.0, std=1.0))
-    tc = TerminalCondition(evaluate=lambda x, m: x, lipschitz=1.0)
-    back = solve_bsde_given_control(spec, ens, ens.flow, tc, noise)
+    back = solve_bsde_given_control(spec, ens, ens.flow, lambda x, m: x, noise)
     assert np.sqrt(np.mean((back.p - ens.states) ** 2)) < 0.05
     assert np.sqrt(np.mean((back.q - 1.0) ** 2)) < 0.05
     assert np.sqrt(np.mean(back.q_tilde ** 2)) < 0.05
@@ -205,17 +203,6 @@ def test_monotone_terminal_propagates_to_initial_adjoint():
     assert np.mean(dp * dx) >= -0.05 * scale
 
 
-def test_check_terminal_diagnostics():
-    rng = np.random.default_rng(0)
-    good = terminal_from_cost(get_preset("lq").spec)
-    out = check_terminal(good, rng)
-    assert out["monotone_ok"] and out["lipschitz_ok"]
-
-    bad = TerminalCondition(evaluate=lambda x, m: -x, lipschitz=1.0)
-    out = check_terminal(bad, np.random.default_rng(1))
-    assert not out["monotone_ok"]
-
-
 def test_control_rms_unit():
     u = np.ones((2, 3, 10))
     assert control_rms(u, 0.1, 1.0) == pytest.approx(1.0)
@@ -267,7 +254,7 @@ def _reference_backward(spec, ens, noise, terminal, plan):
     m, k, n_nodes = states.shape
     span, dt = n_nodes - 1, grid.dt
     p, q, qt = np.zeros((m, k, n_nodes)), np.zeros((m, k, span)), np.zeros((m, k, span))
-    p[:, :, span] = terminal.evaluate(states[:, :, span], flow.at(span))
+    p[:, :, span] = terminal(states[:, :, span], flow.at(span))
     r2, degenerate = np.zeros(span), 0
     for n in reversed(range(span)):
         t, x, y = grid.nodes[n], states[:, :, n], p[:, :, n + 1]
@@ -370,11 +357,11 @@ def test_picard_never_writes_its_start():
 def test_nan_terminal_raises_solver_error_on_the_first_sweep():
     grid = TimeGrid(1.0, 10)
     xi0 = InitialLaw(kind="normal", mu=1.0, std=0.5)
-    nan_terminal = TerminalCondition(evaluate=lambda x, m: np.full_like(x, np.nan), lipschitz=1.0)
     for name in ("lq", "quartic_control"):
         noise = NoiseBundle(seed=3, n_paths=8, n_particles=32, grid=grid)
         with pytest.raises(SolverError, match="non-finite control residual at sweep 1") as err:
-            picard_solve(get_preset(name).spec, noise, nan_terminal, xi0=xi0, tol=1e-4)
+            picard_solve(get_preset(name).spec, noise, lambda x, m: np.full_like(x, np.nan),
+                         xi0=xi0, tol=1e-4)
         history = err.value.history
         assert len(history["residuals"]) == 1 and np.isnan(history["residuals"][0])
         assert history["flow_distances"] == []

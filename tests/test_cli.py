@@ -90,6 +90,11 @@ def test_solve_artifacts_and_determinism(tmp_path, capsys):
         assert sol1[key].shape == (8, 32, 20) and sol1[key].dtype == np.float64
 
     rep1 = json.loads((out / "report.json").read_text())
+    assert set(rep1) == {"_provenance", "method", "config", "config_hash", "seed",
+                         "residual_history", "contraction_ratios", "schedule",
+                         "condition_report", "first_order_residual", "solution_norm",
+                         "warnings", "wall_clock_seconds", "artifact_version", "extra"}
+    assert set(rep1["extra"]) == {"iterations", "cost", "regression_r2_min"}
     # bit-for-bit reproducibility, wall clock aside; the arrays are compared
     # rather than the archive bytes, whose zip members carry timestamps
     assert main(["solve", "--config", str(path)]) == 0

@@ -1,13 +1,16 @@
 """Riccati oracle: derivation validation by residual substitution and closed forms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cnmfg.errors import ModelError, SolverError
 from cnmfg.forward_sim import InitialLaw, NoiseBundle, TimeGrid, simulate_forward, OpenLoopControl
-from cnmfg.lq_oracle import (LQParameters, conditional_mean_path, lq_cost_oracle, oracle_loadings,
-                             oracle_solution, solve_riccati, _feedback)
+from cnmfg.lq_oracle import (LQParameters, lq_cost_oracle, oracle_loadings, oracle_solution,
+                             solve_riccati, _feedback)
 from cnmfg.model import cost_functional, get_preset
+from cnmfg.nplayer import FeedbackStrategy, limit_mean_path
 
 
 def make_params(**kw):
@@ -181,10 +184,12 @@ def test_conditional_mean_follows_closed_dynamics():
     rs = solve_riccati(GENERAL, grid)
     bundle = oracle_solution(GENERAL, noise, xi0, riccati=rs)
     emp = bundle.states.mean(axis=1)
+    spec = get_preset("lq", dataclasses.asdict(GENERAL)).spec
+    strategy = FeedbackStrategy.from_riccati(rs)
 
     errs = []
     for j in range(16):
-        ode = conditional_mean_path(GENERAL, rs, float(emp[j, 0]), noise.dW_common[j])
+        ode = limit_mean_path(spec, strategy, float(emp[j, 0]), noise.dW_common[j:j + 1], grid)[0]
         errs.append(np.max(np.abs(emp[j] - ode)))
     # the only gap is the within-path idiosyncratic average: scale sigma/sqrt(K)
     vol_scale = float(np.mean(np.abs(GENERAL.sigma0 + GENERAL.sigma1 * bundle.states

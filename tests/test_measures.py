@@ -127,6 +127,20 @@ def test_flow_rejects_nodes_and_paths_out_of_range():
             flow.measure(0, j)
 
 
+def test_node_distance_is_the_largest_per_measure_w2():
+    grid = TimeGrid(1.0, 3)
+    rng = np.random.default_rng(4)
+    fa = MeasureFlow(atoms=rng.normal(size=(3, 5, 4)), grid=grid)
+    fb = MeasureFlow(atoms=rng.normal(size=(3, 5, 4)), grid=grid)
+    expected = max(wasserstein2(fa.measure(n, j), fb.measure(n, j))
+                   for n in range(4) for j in range(3))
+    assert fa.node_distance(fb) == pytest.approx(expected, rel=1e-12)
+    assert fb.node_distance(fa) == pytest.approx(expected, rel=1e-12)
+    assert fa.node_distance(fa) == 0.0
+    with pytest.raises(MeasureError, match="common"):
+        fa.node_distance(MeasureFlow(atoms=rng.normal(size=(3, 10, 4)), grid=grid))
+
+
 def test_conditional_law_dirac_with_zero_idiosyncratic_noise():
     # no individual noise, identical starts: the per-path law is a Dirac at the
     # single-path solution driven by the common increments
@@ -153,7 +167,8 @@ def test_coupling_marginals_and_costs():
         assert np.allclose(cpl.weights.sum(axis=1), 1.0 / 3.0, atol=1e-13)
         assert np.allclose(cpl.weights.sum(axis=0), 1.0 / 3.0, atol=1e-13)
     # comonotone pairing realizes the exact distance
-    assert comonotone_coupling(m1, m2).transport_cost() == pytest.approx(wasserstein2(m1, m2))
+    cpl = comonotone_coupling(m1, m2)
+    assert np.sqrt(cpl.expectation(lambda x, y: (x - y) ** 2)) == pytest.approx(wasserstein2(m1, m2))
     with pytest.raises(MeasureError):
         Coupling(np.ones((3, 3)), m1, m2)
     with pytest.raises(MeasureError):

@@ -7,7 +7,7 @@ import pytest
 
 from cnmfg import mfg_solvers
 from cnmfg.bsde import control_rms, solution_distance, solution_norm, terminal_from_cost
-from cnmfg.errors import SolverError
+from cnmfg.errors import ModelError, SimulationError, SolverError
 from cnmfg.forward_sim import InitialLaw, NoiseBundle, TimeGrid
 from cnmfg.lq_oracle import oracle_solution
 from cnmfg.measures import EmpiricalMeasure
@@ -215,15 +215,13 @@ def test_decoupling_field_fit_and_terminal():
     assert fld.slope_x == pytest.approx(1.4, abs=1e-10)
     assert fld.slope_mean == pytest.approx(-0.6, abs=1e-10)
     assert fld.r_squared > 1 - 1e-12
-    assert fld.monotone
-    assert fld.c_v == pytest.approx(np.hypot(1.4, 0.6))
-    tc = fld.as_terminal()
+    terminal = fld.as_terminal()
     x = np.array([[1.0, 2.0]])
-    vals = tc.evaluate(x, EmpiricalMeasure([0.0, 1.0]))
+    vals = terminal(x, EmpiricalMeasure([0.0, 1.0]))
     assert np.allclose(vals, 0.7 + 1.4 * x - 0.3)
 
-    bad = DecouplingField(tau=0.5, intercept=0.0, slope_x=-0.2, slope_mean=0.0, r_squared=1.0)
-    assert not bad.monotone
+    with pytest.raises(SolverError, match="non-finite"):
+        DecouplingField(tau=0.5, intercept=np.nan, slope_x=1.0, slope_mean=0.0, r_squared=1.0)
 
 
 def test_stitched_single_interval_equals_direct_fixed_point():
@@ -278,8 +276,9 @@ def test_uniqueness_check():
     rep_flag = uniqueness_check(preset.spec, XI0, noise, n_starts=1, tol=3e-4,
                                 condition_ok=False)
     assert rep_flag.condition_ok is False
-    d = rep_flag.to_dict()
-    assert set(d) >= {"solver", "max_distance", "passed", "condition_ok"}
+
+    with pytest.raises(SolverError, match="unknown solver"):
+        uniqueness_check(preset.spec, XI0, noise, n_starts=1, solver="stitched")
 
 
 def test_terminal_product_nonnegative_for_shifted_initial_laws():
@@ -341,3 +340,50 @@ def test_stitched_inner_failure_halves_intervals():
     bundle, report = solve_stitched(preset.spec, XI0, noise, tol=1e-3)
     assert report.halvings == 2
     assert bundle.residual_history[-1] <= 1e-3
+
+
+def _failing_picard(monkeypatch, error, fail):
+    """Patch the solvers' Picard solve to raise ``error`` on the calls ``fail`` picks."""
+    solve = mfg_solvers.picard_solve
+    raised = []
+
+    def patched(*args, gamma=1.0, **kwargs):
+        if fail(gamma, len(raised)):
+            raised.append(gamma)
+            raise error
+        return solve(*args, gamma=gamma, **kwargs)
+
+    monkeypatch.setattr(mfg_solvers, "picard_solve", patched)
+    return raised
+
+
+@pytest.mark.parametrize("error", [SimulationError("non-finite state at step 3", step=3),
+                                   ModelError("minimizer did not converge")])
+def test_continuation_recovers_from_a_non_solver_inner_failure(monkeypatch, error):
+    # the first inner solve at gamma > 0 (the second stage's) fails once: the
+    # step's eta is halved and the solve still reaches gamma = 1
+    raised = _failing_picard(monkeypatch, error, lambda gamma, n: gamma > 0 and n == 0)
+    preset = get_preset("lq")
+    noise = small_noise(m=8, k=32, n=20)
+    bundle, state = solve_continuation(preset.spec, XI0, noise, tol=1e-3)
+    assert raised == [0.25]
+    assert [step.eta for step in state.steps[:2]] == [0.25, 0.125]
+    assert state.gamma == pytest.approx(1.0)
+    assert np.isfinite(bundle.controls).all()
+
+
+def test_stitched_recovers_from_a_simulation_error(monkeypatch):
+    preset = get_preset("lq")
+    noise = small_noise(m=8, k=32, n=20)
+    raised = _failing_picard(monkeypatch, SimulationError("non-finite state"),
+                             lambda gamma, n: n == 0)
+    bundle, report = solve_stitched(preset.spec, XI0, noise, tol=1e-3)
+    assert len(raised) == 1 and report.halvings == 1
+    assert bundle.residual_history[-1] <= 1e-3
+
+    # a failure on every pass ends in a SolverError with no history to carry
+    _failing_picard(monkeypatch, SimulationError("non-finite state"), lambda gamma, n: True)
+    with pytest.raises(SolverError, match="after 1 halvings") as err:
+        solve_stitched(preset.spec, XI0, noise, tol=1e-3, max_halvings=1)
+    assert isinstance(err.value.__cause__, SimulationError)
+    assert err.value.history == {}

@@ -161,7 +161,6 @@ def test_batched_games_equal_single_games():
                                          mean_source=source)
                 assert batch.states.shape == (3, n_players, 21)
                 assert batch.costs.shape == (3, n_players)
-                assert batch.n_players == n_players
                 for g, seed in enumerate(seeds):
                     alone = simulate_nplayer(spec, strat, n_players, SHORT, XI0, [seed],
                                              mean_source=source)
