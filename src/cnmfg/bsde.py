@@ -23,8 +23,9 @@ front, and a coupled solve on a frozen flow builds it only once.  The loop
 reduces with einsum and ufuncs: a long BLAS dot wakes spinning threads.
 
 The coupled solve iterates: simulate forward under the current control, solve
-backward, replace the control by the pointwise Hamiltonian minimizer, with
-adaptive damping, until the control stops moving in time-space rms.
+backward, take the pointwise Hamiltonian minimizer, and step the control
+toward it by Anderson acceleration, until the control stops moving in
+time-space rms.
 
 A terminal condition is a callable (x, m) -> p_T of the last node's states
 and per-path laws (``m.mean``, ``m.atoms``): the terminal-cost gradient, or a
@@ -51,6 +52,8 @@ from .model import ModelSpec, control_loading, hamiltonian_dx, minimize_hamilton
 
 # floor of the Picard damping factor, which starts at 1 (the undamped map)
 _MIN_DAMPING = 0.02
+# residual differences that each Anderson step of the control iteration mixes
+_ANDERSON_DEPTH = 2
 
 
 def terminal_from_cost(spec: ModelSpec) -> Callable[..., np.ndarray]:
@@ -105,9 +108,15 @@ def solution_distance(b1: SolutionBundle, b2: SolutionBundle) -> float:
     return float(np.sqrt(np.mean(sup_part) + int_part / sup_part.size))
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of a * b over two (path, atom, node) arrays, on memory-order views if time-major."""
+    return float(np.einsum("i,i->", a.transpose(2, 0, 1).reshape(-1),
+                           b.transpose(2, 0, 1).reshape(-1)))
+
+
 def control_rms(table: np.ndarray, dt: float, horizon: float) -> float:
     """Time-space rms of a control table (the unit solver tolerances are stated in)."""
-    return float(np.sqrt(np.sum(table ** 2) / (table.size / table.shape[2]) * dt / horizon))
+    return float(np.sqrt(_dot(table, table) / (table.size / table.shape[2]) * dt / horizon))
 
 
 def first_order_residual(spec: ModelSpec, bundle: SolutionBundle) -> float:
@@ -274,22 +283,60 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
 # ---------------------------------------------------------------------------
 
 
+def _anderson_weights(gram: np.ndarray) -> np.ndarray:
+    """Weights c, summing to 1, of stored residuals f_j that minimize |sum_j c_j f_j|.
+
+    ``gram`` holds the residuals' dot products, oldest first.  The least
+    squares runs over the differences of consecutive residuals against the
+    newest one (Walker & Ni), so it is invariant to their scale.
+    """
+    n = len(gram)
+    if n == 1:
+        return np.ones(1)
+    diff = np.eye(n, n - 1, -1) - np.eye(n, n - 1)     # column i: f_{i+1} - f_i
+    lhs = np.einsum("ia,ij,jb->ab", diff, gram, diff)
+    # a relative ridge keeps the normal equations regular when differences are
+    # (nearly) parallel; a zero difference gets weight 0
+    diag = np.diag_indices(n - 1)
+    lhs[diag] = lhs[diag] * (1.0 + 1e-10) + np.finfo(float).tiny
+    gamma = np.linalg.solve(lhs, np.einsum("ia,i->a", diff, gram[:, -1]))
+    weights = -np.einsum("ia,a->i", diff, gamma)
+    weights[-1] += 1.0
+    return weights
+
+
 def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: Callable[..., np.ndarray], *,
                  xi0: InitialLaw | None = None, init_states: np.ndarray | None = None,
                  frozen_flow: MeasureFlow | None = None, gamma: float = 1.0,
                  inputs: dict | None = None, u0: np.ndarray | None = None,
                  tol: float = 1e-4, max_iter: int = 60) -> SolutionBundle:
-    """Solve the coupled system on the noise's grid by Picard iteration on the control.
+    """Solve the coupled system on the noise's grid by accelerated Picard iteration on the control.
 
     With ``frozen_flow`` (on the noise's grid) the measure argument stays fixed
     (the control problem for a given flow); otherwise each sweep re-simulates
     the conditional particle system so the flow is the live empirical one.
     ``gamma`` and ``inputs`` (keys "b", "sigma", "sigma_tilde", "f" as
     [j, k, step] tables and "g" as [j, k]) realize the coefficient-scaled
-    system with exogenous perturbations.  Raises SolverError with the residual
-    history on iteration cap.  On a live flow a divergence guard also runs: it
-    raises on three consecutive increases of the measure-flow distance once
-    the damping is at its floor.
+    system with exogenous perturbations.
+
+    A sweep maps the control u to the pointwise Hamiltonian minimizer along
+    the forward and backward solutions under u; f is its residual.  The step
+    is Anderson acceleration of depth ``_ANDERSON_DEPTH`` of the damped map
+    u + theta f (Walker & Ni, SIAM J. Numer. Anal. 2011): the new control
+    mixes the damped images of the current and the last ``_ANDERSON_DEPTH``
+    iterates, with the weights, summing to 1, that minimize the same mix of
+    their residuals; the weights come from the residuals' dot products.  A
+    rise of the residual clears that history, and while the history is empty
+    the step is the damped one.  theta starts at 1 (the plain map) and
+    halves, to a floor of ``_MIN_DAMPING``, on each rise that follows a
+    damped step.  Convergence is measured on the residual, so damping cannot
+    fake progress.
+
+    Raises SolverError with the residual history on a non-finite residual
+    and on the iteration cap.  On a live flow a divergence guard also runs:
+    it raises on three consecutive increases of the measure-flow distance once
+    theta is at its floor, which a solve whose damped steps keep raising the
+    residual reaches after six such rises.
     """
     grid = noise.grid
     if init_states is None:
@@ -297,17 +344,22 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: Callable[..., np
             raise SolverError("need an initial law or explicit initial states")
         init_states = noise.initial_states(xi0)
     horizon = grid.n_steps * grid.dt
-    # the iteration never writes into u, so a time-major u0 is used without a copy
+    # the iteration never writes into the caller's start, so a time-major u0 is
+    # used without a copy; later iterates are its own buffers, and it reuses them
     u = particle_array(noise.n_paths, noise.n_particles, grid.n_steps, zeros=True) if u0 is None \
         else time_major(u0)
+    start = None if u0 is None else u
     inputs = inputs or {}
     sim_inputs = {key: inputs[key] for key in ("b", "sigma", "sigma_tilde") if key in inputs}
 
     history: list[float] = []
     flow_dists: list[float] = []
-    theta = theta_cap = 1.0
-    prev_step = np.inf
-    prev_move = np.inf
+    theta = 1.0
+    # Anderson history of the last iterates, oldest first: residuals f, damped
+    # images u + theta f, and the dot products of the residuals
+    fs: list[np.ndarray] = []
+    gs: list[np.ndarray] = []
+    gram = np.empty((0, 0))
     prev_flow = None
     gate_plan: dict = {}
     design = None
@@ -339,17 +391,21 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: Callable[..., np
                                         design=design)
 
         # the Newton minimizer starts from the current control, within one
-        # Picard step of its root from the second sweep on
-        u_min = np.empty_like(u)
+        # Picard step of its root from the second sweep on.  A full history
+        # lends its oldest residual's buffer to the new one: only their dot
+        # product is still needed, and it is taken node by node before the write
+        oldest = fs[0] if len(fs) == _ANDERSON_DEPTH else None
+        f = np.empty_like(u) if oldest is None else oldest
+        dot_oldest = 0.0
         for n in range(grid.n_steps):
-            u_min[:, :, n] = minimize_hamiltonian_values(
+            f_n = minimize_hamiltonian_values(
                 spec, grid.nodes[n], ens.states[:, :, n], back.p[:, :, n],
                 back.q[:, :, n], back.q_tilde[:, :, n], u0=u[:, :, n])
-
-        # convergence is measured on the undamped fixed-point gap, so a small
-        # damping factor cannot fake progress
-        step = np.subtract(u_min, u, out=u_min)
-        step_rms = control_rms(step, grid.dt, horizon)
+            f_n -= u[:, :, n]
+            if oldest is not None:
+                dot_oldest += float(np.einsum("jk,jk->", f_n, oldest[:, :, n]))
+            f[:, :, n] = f_n
+        step_rms = control_rms(f, grid.dt, horizon)
         history.append(step_rms)
         if not np.isfinite(step_rms):
             raise SolverError(f"non-finite control residual at sweep {it + 1}",
@@ -364,29 +420,33 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: Callable[..., np
                 states=ens.states, controls=ens.controls, p=back.p, q=back.q,
                 q_tilde=back.q_tilde, grid=grid, residual_history=history, diagnostics=diag,
                 flow=flow if frozen_flow is not None else ens.flow)
+        # the next sweep allocates its own; only the flow is kept, for its distance
+        del ens, back
 
-        # damping adaptation: increases of the gap cap the step size, stalls
-        # damp further, solid contractions recover the step up to the cap, and
-        # the realized movement per sweep never more than doubles
-        if step_rms > prev_step:
-            theta_cap = max(theta * 0.5, _MIN_DAMPING)
-            theta = theta_cap
-        elif step_rms > 0.98 * prev_step:
-            # a stall reveals the map struggles at this step size: remember it
-            theta = max(theta * 0.5, _MIN_DAMPING)
-            theta_cap = min(theta_cap, theta)
-        elif step_rms < 0.6 * prev_step:
-            theta = min(theta * 2.0, theta_cap)
-        move = theta * step_rms
-        if np.isfinite(prev_move) and move > 2.0 * prev_move:
-            theta = 2.0 * prev_move / step_rms
-            move = theta * step_rms
-        # the damped iterate is built in the step's buffer: u is never written
-        step *= theta
-        step += u
-        u = step
-        prev_step = step_rms
-        prev_move = move
+        if len(history) > 1 and step_rms > history[-2]:
+            # a rise after a damped step halves the damping; any rise restarts
+            if len(fs) < 2:
+                theta = max(theta * 0.5, _MIN_DAMPING)
+            fs, gs, gram, oldest = [], [], np.empty((0, 0)), None
+        row = [dot_oldest if h is oldest else _dot(f, h) for h in fs] + [_dot(f, f)]
+        gram = np.block([[gram, np.array(row[:-1])[:, None]], [np.array(row)]])
+        # the damped image u + theta f is built in u's buffer, unless u is the
+        # caller's start, and the new iterate sum_j c_j g_j in the buffer of the
+        # image that leaves the history; node by node, with no full-size temporary
+        g = np.copy(u) if u is start else u
+        node = np.empty_like(u[:, :, 0])
+        for n in range(grid.n_steps):
+            g[:, :, n] += np.multiply(f[:, :, n], theta, out=node)
+        fs.append(f)
+        gs.append(g)
+        weights = _anderson_weights(gram)
+        u = gs[0] if len(gs) > _ANDERSON_DEPTH else np.empty_like(g)
+        for n in range(grid.n_steps):
+            u_n = np.multiply(gs[0][:, :, n], weights[0], out=u[:, :, n])
+            for c, g_j in zip(weights[1:], gs[1:]):
+                u_n += np.multiply(g_j[:, :, n], c, out=node)
+        if len(fs) > _ANDERSON_DEPTH:
+            fs, gs, gram = fs[1:], gs[1:], gram[1:, 1:]
 
     raise SolverError(f"control iteration did not converge in {max_iter} sweeps "
                       f"(last residual {history[-1]:.3e})",

@@ -181,12 +181,13 @@ class NoiseBundle:
 
 @dataclass
 class OpenLoopControl:
-    """Control table u[j, k, n] on grid intervals [t_n, t_{n+1})."""
+    """Control table u[j, k, n] on grid intervals [t_n, t_{n+1}).
+
+    A simulation never writes the table, and its ensemble holds it (time-major)
+    as its controls.
+    """
 
     table: np.ndarray
-
-    def values(self, step: int, t: float, x: np.ndarray, means: np.ndarray) -> np.ndarray:
-        return self.table[:, :, step]
 
 
 @dataclass
@@ -247,7 +248,11 @@ def simulate_forward(spec: ModelSpec, rule: ControlRule, noise: NoiseBundle,
     nodes = grid.nodes
     dt = grid.dt
     states = particle_array(m, k, grid.n_steps + 1)
-    controls = particle_array(m, k, grid.n_steps)
+    open_loop = isinstance(rule, OpenLoopControl)
+    controls = time_major(rule.table) if open_loop else particle_array(m, k, grid.n_steps)
+    if controls.shape != (m, k, grid.n_steps):
+        raise SimulationError(f"control table {controls.shape} does not match the "
+                              f"{(m, k, grid.n_steps)} particle layout")
     states[:, :, 0] = init_states
     inputs = inputs or {}
     in_b = inputs.get("b")
@@ -262,8 +267,10 @@ def simulate_forward(spec: ModelSpec, rule: ControlRule, noise: NoiseBundle,
                 law = PathLaws(mean=x.mean(axis=1)[:, None], atoms=x)
         else:
             law = frozen_flow.at(n)
-        u = rule.values(n, t, x, law.mean[:, 0])
-        controls[:, :, n] = u
+        if open_loop:
+            u = controls[:, :, n]
+        else:
+            u = controls[:, :, n] = rule.values(n, t, x, law.mean[:, 0])
 
         with np.errstate(over="ignore", invalid="ignore"):
             drift = gamma * spec.drift.values(t, x, u, law)

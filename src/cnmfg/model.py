@@ -62,7 +62,17 @@ class LinearCoefficient:
     phi2: Callable[[float], float]
 
     def values(self, t: float, x: ArrayLike, u: ArrayLike, m: Law) -> ArrayLike:
-        return self.phi0(t, m) + self.phi1(t) * x + self.phi2(t) * u
+        """phi0 + phi1 x + phi2 u, summed in this order.
+
+        A term whose coefficient is 0 is left out (on the LQ presets both
+        volatilities are constant), so the result broadcasts against the
+        states but may not have their shape.
+        """
+        total = self.phi0(t, m)
+        for coef, arg in ((self.phi1(t), x), (self.phi2(t), u)):
+            if coef != 0.0:
+                total = total + coef * arg
+        return total
 
 
 @dataclass

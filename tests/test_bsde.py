@@ -369,15 +369,95 @@ def test_nan_terminal_raises_solver_error_on_the_first_sweep():
 
 def test_quartic_solve_f0u_evaluation_count():
     # a guard on the minimizer's warm start and its closed bracket: with cold
-    # starts this solve makes 1198 f0u evaluations, with an open bracket 1322
+    # starts this solve makes 534 f0u evaluations, with an open bracket 489
     preset = get_preset("quartic_control")
     spec = preset.spec
     calls = count_f0u_calls(spec.cost)
     noise = NoiseBundle(seed=3, n_paths=8, n_particles=32, grid=TimeGrid(1.0, 10))
     bundle = picard_solve(spec, noise, terminal_from_cost(spec),
                           xi0=InitialLaw(kind="normal", mu=1.0, std=0.5), tol=preset.default_tol)
-    assert len(bundle.residual_history) == 18
-    assert calls[0] == 906
+    assert len(bundle.residual_history) == 8
+    assert calls[0] == 373
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_quartic_full_coupling_solve_has_no_slow_phase(seed):
+    # damped Picard took 19 and 23 sweeps here: its steps alternated in sign
+    preset = get_preset("quartic_control")
+    noise = NoiseBundle(seed=seed, n_paths=32, n_particles=64, grid=TimeGrid(1.0, 50))
+    bundle = picard_solve(preset.spec, noise, terminal_from_cost(preset.spec),
+                          xi0=InitialLaw(kind="normal", mu=1.0, std=0.5), tol=preset.default_tol)
+    assert len(bundle.residual_history) <= 10
+
+
+def test_residual_rise_restarts_with_the_damped_step(monkeypatch):
+    # the minimizer's output is spoiled on the fourth sweep only; the step
+    # mixing it raises the residual once, and the step after the rise is the
+    # plain map again, undamped, since the rise followed a mixed step
+    preset = get_preset("lq")
+    noise = NoiseBundle(seed=7, n_paths=16, n_particles=64, grid=TimeGrid(1.0, 20))
+    controls, images = [], []
+    real_sim, real_min = bsde.simulate_forward, bsde.minimize_hamiltonian_values
+
+    def recording_sim(spec, rule, *args, **kwargs):
+        controls.append(np.array(rule.table))
+        images.append(np.empty_like(controls[-1]))
+        return real_sim(spec, rule, *args, **kwargs)
+
+    def spoiling_min(spec, t, *args, **kwargs):
+        n = int(round(t / noise.grid.dt))
+        spoil = 0.03 if len(images) == 4 else 0.0
+        images[-1][:, :, n] = real_min(spec, t, *args, **kwargs) + spoil
+        return images[-1][:, :, n].copy()
+
+    monkeypatch.setattr(bsde, "simulate_forward", recording_sim)
+    monkeypatch.setattr(bsde, "minimize_hamiltonian_values", spoiling_min)
+    bundle = picard_solve(preset.spec, noise, terminal_from_cost(preset.spec),
+                          xi0=InitialLaw(kind="normal", mu=1.0, std=0.5), tol=1e-4)
+    h = bundle.residual_history
+    assert h[-1] <= 1e-4
+    assert [i for i in range(1, len(h)) if h[i] > h[i - 1]] == [4]
+    assert bundle.diagnostics["damping_final"] == 1.0
+    # the sweep of the rise steps to its map image; those around it mix the history
+    assert np.allclose(controls[5], images[4], rtol=0.0, atol=1e-12)
+    for it in (4, 6):
+        assert not np.allclose(controls[it], images[it - 1], rtol=0.0, atol=1e-6)
+
+
+def test_flow_divergence_guard_is_reached_by_halving_the_damping():
+    # far outside the smallness conditions every step raises the residual: each
+    # rise after a damped step halves theta, which is at its floor after six,
+    # and the guard on the rising flow distance then ends the solve
+    spec = get_preset("lq", {"b2": 4.0, "cu": 0.05}).spec
+    noise = NoiseBundle(seed=3, n_paths=16, n_particles=32, grid=TimeGrid(1.0, 40))
+    with pytest.raises(SolverError, match="measure flow diverging") as err:
+        picard_solve(spec, noise, terminal_from_cost(spec),
+                     xi0=InitialLaw(kind="normal", mu=1.0, std=0.5), tol=1e-3)
+    residuals = err.value.history["residuals"]
+    assert len(residuals) == 7
+    assert all(b > a for a, b in zip(residuals, residuals[1:]))
+
+
+def test_picard_peak_memory_stays_within_eleven_arrays():
+    # the Anderson history costs four (path x particle x step) arrays; a sweep
+    # drops its ensemble and adjoints before the next one allocates its own, and
+    # the new residual takes the buffer of the oldest, so the peak is that of
+    # damped Picard without a history: 10.64 arrays, 10.68 with the history,
+    # 11.51 with a new residual buffer per sweep, 13.72 keeping the last sweep
+    import tracemalloc
+
+    spec = get_preset("lq").spec
+    m, k, n = 32, 128, 25
+    noise = NoiseBundle(seed=3, n_paths=m, n_particles=k, grid=TimeGrid(1.0, n))
+    tracemalloc.start()
+    try:
+        bundle = picard_solve(spec, noise, terminal_from_cost(spec),
+                              xi0=InitialLaw(kind="normal", mu=1.0, std=0.5), tol=1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(bundle.residual_history) >= 5
+    assert peak < 11 * m * k * n * 8
 
 
 def _counting_designs(monkeypatch):
