@@ -102,7 +102,8 @@ class NoiseBundle:
     (channel, path) block of a counter-based stream, so parallel generation by
     path reproduces the serial result bit for bit.  ``dW[j, k, n]`` is stored
     time-major; ``from_arrays`` builds a bundle around given increments.  Both
-    are read-only: they are the solvers' common random numbers.
+    are read-only: they are the solvers' common random numbers.  The initial
+    states of a law are drawn once per bundle.
     """
 
     seed: int
@@ -112,6 +113,7 @@ class NoiseBundle:
     dW: np.ndarray = field(init=False, repr=False)
     dW_common: np.ndarray = field(init=False, repr=False)
     given: bool = field(init=False, default=False, repr=False)
+    _initial: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         m, k, n = self.n_paths, self.n_particles, self.grid.n_steps
@@ -147,6 +149,7 @@ class NoiseBundle:
         bundle = cls.__new__(cls)
         bundle.seed, bundle.n_paths, bundle.n_particles, bundle.grid = seed, m, k, grid
         bundle.dW, bundle.dW_common, bundle.given = dW, dW_common, True
+        bundle._initial = {}
         return bundle
 
     def window(self, n_lo: int, n_hi: int) -> "NoiseBundle":
@@ -155,6 +158,14 @@ class NoiseBundle:
                                        self.dW[:, :, n_lo:n_hi], self.dW_common[:, n_lo:n_hi])
 
     def initial_states(self, law: InitialLaw) -> np.ndarray:
+        """Initial states (paths, particles) drawn from ``law`` once per bundle
+        and law; every call returns a copy of its own."""
+        drawn = self._initial.get(law)
+        if drawn is None:
+            drawn = self._initial[law] = self._draw_initial(law)
+        return drawn.copy()
+
+    def _draw_initial(self, law: InitialLaw) -> np.ndarray:
         m, k = self.n_paths, self.n_particles
         if law.kind == "constant":
             return np.full((m, k), float(law.mu))

@@ -8,8 +8,10 @@ solvers implement numerically:
   repeatedly, feeding the previous iterate back through exogenous input
   tables, which is a contraction for small eta.  The inner solves are
   inexact: each is solved only as tightly as the previous outer distance
-  needs (a forcing term), and a step is accepted only on a solve at the full
-  inner tolerance.
+  needs (a forcing term).  A stage before the last only has to stay near the
+  continuation path: it is accepted at a loose outer distance, on whatever
+  inner tolerance the forcing term gave.  The last stage is accepted only on
+  a solve at the full inner tolerance.
 
 * ``solve_stitched`` partitions the horizon into short intervals; on each
   interval the map control -> (population under that control) -> best response
@@ -44,6 +46,8 @@ from .model import ModelSpec, hamiltonian_dx
 
 # inner tolerance of a continuation step per unit of its previous outer distance
 _FORCING = 0.05
+# outer distance, per unit of tol, at which a stage before the last is accepted
+_PATH_TOL = 40.0
 
 
 @dataclass
@@ -120,13 +124,11 @@ def _coefficient_inputs(spec: ModelSpec, bundle: SolutionBundle, eta: float) -> 
         x = states[:, :, n]
         u = controls[:, :, n]
         law = flow.at(n)
-        out_b[:, :, n] = spec.drift.values(t, x, u, law)
-        out_s[:, :, n] = spec.vol.values(t, x, u, law)
-        out_st[:, :, n] = spec.vol_common.values(t, x, u, law)
-        out_f[:, :, n] = hamiltonian_dx(spec, t, x, bundle.p[:, :, n], bundle.q[:, :, n],
-                                        bundle.q_tilde[:, :, n], u, law)
-    for table in (out_b, out_s, out_st, out_f):
-        table *= eta
+        np.multiply(spec.drift.values(t, x, u, law), eta, out=out_b[:, :, n])
+        np.multiply(spec.vol.values(t, x, u, law), eta, out=out_s[:, :, n])
+        np.multiply(spec.vol_common.values(t, x, u, law), eta, out=out_st[:, :, n])
+        np.multiply(hamiltonian_dx(spec, t, x, bundle.p[:, :, n], bundle.q[:, :, n],
+                                   bundle.q_tilde[:, :, n], u, law), eta, out=out_f[:, :, n])
     # the cost's gx may hand back its argument, so its values are not scaled in place
     gx_T = eta * np.asarray(spec.cost.gx(states[:, :, -1], flow.at(n_steps)))
     return InputPerturbation(b=out_b, sigma=out_s, sigma_tilde=out_st, f=out_f, g=gx_T,
@@ -178,10 +180,12 @@ def solve_continuation(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle,
     The inner solves are inexact (a forcing-term rule, as in inexact Newton
     methods): outer iteration k solves to max(inner_tol, _FORCING * d_{k-1}),
     with d_{k-1} the previous distance of the same attempt, and the first
-    iteration of an attempt, which has no distance yet, runs one sweep.  A
-    step is accepted only when its distance is within the step tolerance and
-    the inner solve that produced it ran at ``inner_tol``, so every accepted
-    bundle, the returned one included, is solved to ``inner_tol``.
+    iteration of an attempt, which has no distance yet, runs one sweep.
+    Intermediate stages are path-following steps: one is accepted once at
+    least two outer iterations have run and the distance is within
+    ``_PATH_TOL * tol``, whatever the inner tolerance.  The last stage
+    (gamma + eta = 1) is accepted only at distance ``tol`` on a solve at
+    ``inner_tol``, so the returned bundle is solved to ``inner_tol``.
     ``ContinuationStep.sweeps`` holds the inner sweeps of each iteration.
     """
     grid = noise.grid
@@ -199,7 +203,8 @@ def solve_continuation(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle,
         iterate = current
         converged = False
         # contraction iteration at fixed (gamma, eta); final step gets the tight tolerance
-        step_tol = tol if state.gamma + eta >= 1.0 - 1e-12 else 4.0 * tol
+        last = state.gamma + eta >= 1.0 - 1e-12
+        step_tol = tol if last else _PATH_TOL * tol
         failure = None
         sweeps: list[int] = []
         # forcing term: with no distance yet the first inner solve runs one sweep
@@ -217,8 +222,9 @@ def solve_continuation(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle,
             distances.append(d)
             sweeps.append(nxt.diagnostics["iterations"])
             iterate = nxt
-            # only a solve at the full inner tolerance may end the stage
-            if d <= step_tol and inner == inner_tol:
+            # the last stage ends on a solve at the full inner tolerance; an
+            # earlier one on a second distance, so that it has a ratio
+            if d <= step_tol and (inner == inner_tol if last else len(distances) >= 2):
                 converged = True
                 break
             if len(distances) >= 3 and distances[-1] > distances[-2] > distances[-3]:

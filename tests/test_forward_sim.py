@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cnmfg import forward_sim
 from cnmfg.errors import SimulationError
 from cnmfg.forward_sim import (FeedbackControl, InitialLaw, NoiseBundle, OpenLoopControl,
                                TimeGrid, simulate_forward)
@@ -292,6 +293,30 @@ def test_noise_bundle_from_arrays():
     assert meta["digest"] != NoiseBundle.from_arrays(13, grid, seeded.dW, dwc).meta()["digest"]
     with pytest.raises(SimulationError):
         NoiseBundle.from_arrays(13, grid, dW, dwc[:, :5])
+
+
+def test_initial_states_are_drawn_once_per_bundle_and_law(monkeypatch):
+    grid = TimeGrid(1.0, 10)
+    laws = (InitialLaw(kind="normal", mu=1.0, std=0.5),
+            InitialLaw(kind="empirical", atoms=(1.0, 2.0, 4.0)))
+    fresh = [NoiseBundle(seed=15, n_paths=4, n_particles=6, grid=grid).initial_states(law)
+             for law in laws]
+    seeded = NoiseBundle(seed=15, n_paths=4, n_particles=6, grid=grid)
+    calls = []
+    block_rng = forward_sim._block_rng
+    monkeypatch.setattr(forward_sim, "_block_rng",
+                        lambda *args: calls.append(args) or block_rng(*args))
+    for bundle in (seeded, seeded.window(2, 7),
+                   NoiseBundle.from_arrays(15, grid, seeded.dW, seeded.dW_common)):
+        for law, expected in zip(laws, fresh):
+            first = bundle.initial_states(law)
+            drawn = len(calls)
+            first[:] = -1.0            # the caller owns what it is handed
+            second = bundle.initial_states(law)
+            assert len(calls) == drawn and drawn > 0
+            assert np.array_equal(first, np.full((4, 6), -1.0))
+            assert np.array_equal(second, expected)
+            del calls[:]
 
 
 def test_noise_is_read_only():

@@ -16,6 +16,8 @@ from cnmfg.mfg_solvers import (DecouplingField, InputPerturbation, fit_decouplin
                                interval_best_response, solve_continuation, solve_scaled_fbsde,
                                solve_stitched, uniqueness_check)
 
+from helpers import simple_spec
+
 XI0 = InitialLaw(kind="normal", mu=1.0, std=0.5)
 
 
@@ -93,8 +95,9 @@ def test_continuation_idempotent_from_converged_start():
 
 def test_continuation_inner_solves_are_inexact_until_accepted(monkeypatch):
     # each outer iteration solves only as tightly as the previous outer
-    # distance asks, the first of an attempt to one sweep; a stage is
-    # accepted only on a solve at the full inner tolerance
+    # distance asks, the first of an attempt to one sweep; a stage before the
+    # last is accepted after two iterations at distance 40 tol, whatever its
+    # inner tolerance, and the last stage only on a solve at inner_tol
     preset = get_preset("lq")
     noise = small_noise(m=16, k=48, n=30)
     tol = 2e-4
@@ -121,11 +124,21 @@ def test_continuation_inner_solves_are_inexact_until_accepted(monkeypatch):
         first += step.iterations
         assert attempt[0] == (math.inf, 1)
         assert all(t < math.inf for t, _ in attempt[1:])
-        assert attempt[-1][0] == inner_tol
         assert step.sweeps == [sweeps for _, sweeps in attempt]
+    for step in state.steps[:-1]:
+        assert step.iterations >= 2
+        assert step.distances[-1] <= 40 * tol
+    assert attempt[-1][0] == inner_tol        # the last stage's attempt
+    assert state.steps[-1].distances[-1] <= tol
     assert bundle.residual_history[-1] <= inner_tol
-    # 121 sweeps when every inner solve runs to inner_tol
-    assert sum(sweeps for _, sweeps in calls) <= 66
+    # 43 sweeps; 53 when every stage ends on an inner_tol solve, 121 when
+    # every inner solve runs to inner_tol
+    assert sum(sweeps for _, sweeps in calls) <= 45
+
+    # a first distance within 40 tol does not end a stage: it has no ratio yet
+    _, state = solve_continuation(simple_spec(b0=0.1), XI0, small_noise(m=4, k=8, n=5), tol=1e-3)
+    assert state.steps[0].distances[0] <= 40 * 1e-3
+    assert all(step.iterations >= 2 for step in state.steps)
 
 
 def test_stability_ratio_bounded_across_perturbation_scales():
