@@ -51,9 +51,9 @@ def _parser() -> argparse.ArgumentParser:
 def _load(args) -> RunConfig:
     cfg = RunConfig.load(args.config)
     if args.seed is not None:
-        cfg.seed = int(args.seed)
+        cfg.seed = args.seed
     if args.out is not None:
-        cfg.output_dir = str(args.out)
+        cfg.output_dir = args.out
     return cfg
 
 
@@ -64,7 +64,7 @@ def _setup(cfg: RunConfig):
     except ModelError as err:
         field = "preset" if cfg.preset not in preset_names() else "preset_params"
         raise ConfigError(str(err), field=field) from err
-    return preset, TimeGrid(cfg.horizon, cfg.n_steps), cfg.law()
+    return preset, cfg.grid(), cfg.law()
 
 
 def _ensemble_noise(cfg: RunConfig, grid: TimeGrid) -> NoiseBundle:
@@ -93,7 +93,7 @@ def _load_resume_controls(cfg: RunConfig) -> np.ndarray:
 def _frozen_flow(cfg: RunConfig, preset, noise, xi0):
     kind = cfg.frozen_flow["kind"]
     if kind == "dirac":
-        return constant_flow(float(cfg.frozen_flow.get("value", 0.0)), noise.grid, cfg.n_common)
+        return constant_flow(cfg.frozen_flow.get("value", 0.0), noise.grid, cfg.n_common)
     # zero_control: the conditional particle flow under the null control
     m, k, n = cfg.n_common, cfg.n_particles, cfg.n_steps
     return simulate_forward(preset.spec, OpenLoopControl(particle_array(m, k, n, zeros=True)),
@@ -272,11 +272,9 @@ def cmd_nash(args) -> int:
         source = "continuation_bundle"
 
     t0 = timer()
-    counts = [int(n) for n in cfg.nash["player_counts"]]
-    seeds = [cfg.seed + int(s) for s in cfg.nash["seeds"]]
+    counts, seeds = cfg.player_counts, [cfg.seed + s for s in cfg.seeds]
     out = gap_versus_n(preset.spec, strategy, counts, grid, xi0, seeds,
-                       n_replicas=int(cfg.nash["n_replicas"]),
-                       n_copies=int(cfg.nash["n_copies"]), solver_tol=tol)
+                       n_replicas=cfg.n_replicas, n_copies=cfg.n_copies, solver_tol=tol)
     convergence = [population_cost_convergence(preset.spec, strategy, n, grid, xi0, seeds)
                    for n in counts]
     elapsed = timer() - t0

@@ -21,7 +21,6 @@ increments of those steps on a grid with the parent's step and nodes.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -112,7 +111,6 @@ class NoiseBundle:
     grid: TimeGrid
     dW: np.ndarray = field(init=False, repr=False)
     dW_common: np.ndarray = field(init=False, repr=False)
-    given: bool = field(init=False, default=False, repr=False)
     _initial: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -135,8 +133,7 @@ class NoiseBundle:
         """Bundle holding the given increments dW[j, k, n] and dW_common[j, n].
 
         ``dW`` is stored time-major (copied only if it is not already); ``seed``
-        keys the initial-state draws.  ``meta()`` marks the increments as given
-        and carries their digest, so it describes the noise the bundle holds.
+        keys the initial-state draws.
         """
         # read-only views: the caller's arrays keep their flags
         dW, dW_common = time_major(dW).view(), np.asarray(dW_common, dtype=float).view()
@@ -148,7 +145,7 @@ class NoiseBundle:
                 f"{grid.n_steps}-step grid")
         bundle = cls.__new__(cls)
         bundle.seed, bundle.n_paths, bundle.n_particles, bundle.grid = seed, m, k, grid
-        bundle.dW, bundle.dW_common, bundle.given = dW, dW_common, True
+        bundle.dW, bundle.dW_common = dW, dW_common
         bundle._initial = {}
         return bundle
 
@@ -178,16 +175,6 @@ class NoiseBundle:
                 idx = rng.integers(0, len(law.atoms), size=k)
                 out[j] = np.asarray(law.atoms, dtype=float)[idx]
         return out
-
-    def meta(self) -> dict:
-        meta = {"seed": self.seed, "n_paths": self.n_paths,
-                "n_particles": self.n_particles, "n_steps": self.grid.n_steps,
-                "horizon": self.grid.horizon}
-        if self.given:
-            digest = hashlib.sha256(self.dW.transpose(2, 0, 1).tobytes())
-            digest.update(np.ascontiguousarray(self.dW_common).tobytes())
-            meta.update(increments="given", digest=digest.hexdigest()[:16])
-        return meta
 
 
 @dataclass

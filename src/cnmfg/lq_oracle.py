@@ -27,6 +27,7 @@ from .forward_sim import InitialLaw, NoiseBundle, TimeGrid, particle_array
 from .measures import MeasureFlow
 
 _BLOWUP = 1e8
+_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -171,8 +172,8 @@ class RiccatiSolution:
         return np.column_stack([self.grid.nodes, self.a, self.b, self.c])
 
 
-def solve_riccati(params: LQParameters, grid: TimeGrid, refine: int | None = None,
-                  residual_tol: float = 1e-8) -> RiccatiSolution:
+def solve_riccati(params: LQParameters, grid: TimeGrid,
+                  refine: int | None = None) -> RiccatiSolution:
     """Integrate the affine-adjoint ODEs backward from the terminal weights by RK4.
 
     The integration grid is at least ten times finer than the solver grid and
@@ -199,9 +200,9 @@ def solve_riccati(params: LQParameters, grid: TimeGrid, refine: int | None = Non
         out[i - 1] = y
     sol = RiccatiSolution(params=params, t_fine=t_fine, a_fine=out[:, 0], b_fine=out[:, 1],
                           c_fine=out[:, 2], grid=grid)
-    if sol.matching_residual_max > residual_tol:
+    if sol.matching_residual_max > _RESIDUAL_TOL:
         raise SolverError(
-            f"affine-adjoint matching residual {sol.matching_residual_max:.2e} exceeds {residual_tol:.1e}")
+            f"affine-adjoint matching residual {sol.matching_residual_max:.2e} exceeds {_RESIDUAL_TOL:.1e}")
     return sol
 
 
@@ -213,8 +214,7 @@ def oracle_loadings(params: LQParameters, a: float, b: float, x, u, mbar, ubar):
     return q, qt
 
 
-def oracle_solution(params: LQParameters, noise: NoiseBundle, xi0: InitialLaw,
-                    riccati: RiccatiSolution | None = None) -> SolutionBundle:
+def oracle_solution(params: LQParameters, noise: NoiseBundle, xi0: InitialLaw) -> SolutionBundle:
     """Closed-loop simulation of the affine feedback on the given noise bundle.
 
     The feedback and adjoint use the per-path empirical conditional mean, which
@@ -223,7 +223,7 @@ def oracle_solution(params: LQParameters, noise: NoiseBundle, xi0: InitialLaw,
     roundoff.
     """
     grid = noise.grid
-    rs = riccati or solve_riccati(params, grid)
+    rs = solve_riccati(params, grid)
     m, k, n = noise.n_paths, noise.n_particles, grid.n_steps
     dt = grid.dt
     states = particle_array(m, k, n + 1)
@@ -267,18 +267,18 @@ def _initial_moments(xi0: InitialLaw) -> tuple[float, float]:
     return float(atoms.mean()), float(np.mean(atoms ** 2))
 
 
-def lq_cost_oracle(params: LQParameters, xi0: InitialLaw, grid: TimeGrid,
-                   riccati: RiccatiSolution | None = None, refine: int = 10) -> float:
+def lq_cost_oracle(params: LQParameters, xi0: InitialLaw, grid: TimeGrid) -> float:
     """Population-limit cost of the affine feedback via closed moment dynamics.
 
-    Tracks (EX, EX^2, E[X mbar], E[mbar^2]) forward with RK4; the running and
-    terminal quadratic costs are exact functionals of these moments.
+    Tracks (EX, EX^2, E[X mbar], E[mbar^2]) forward with RK4 on a grid ten times
+    finer than ``grid``; the running and terminal quadratic costs are exact
+    functionals of these moments.
     """
-    rs = riccati or solve_riccati(params, grid)
+    rs = solve_riccati(params, grid)
     p1_0, p2_0 = _initial_moments(xi0)
     # mbar_0 is the deterministic initial mean in the population limit
     state = np.array([p1_0, p2_0, p1_0 ** 2, p1_0 ** 2, 0.0])  # P1, P2, C, Q2, running cost
-    n_fine = grid.n_steps * refine
+    n_fine = grid.n_steps * 10
     h = params.horizon / n_fine
     t_fine = np.linspace(0.0, params.horizon, n_fine + 1)
     a_f = np.interp(t_fine, rs.t_fine, rs.a_fine)

@@ -343,16 +343,14 @@ class StitchReport:
     boundaries: list
     fields: list
     interval_ratios: list          # all map-iteration ratios, every pass and phase
-    interval_iterations: list
     halvings: int
-    passes: int
     cold_backward_ratios: list = field(default_factory=list)  # first backward pass only
 
 
 def solve_stitched(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle, *,
                    tol: float = 1e-4, interval_fraction: float = 0.25,
-                   max_fp_iter: int = 30, max_halvings: int = 5, global_passes: int = 2,
-                   u0: np.ndarray | None = None) -> tuple[SolutionBundle, StitchReport]:
+                   max_fp_iter: int = 30, max_halvings: int = 5,
+                   global_passes: int = 2) -> tuple[SolutionBundle, StitchReport]:
     """Backward stitching of interval fixed points through decoupling fields.
 
     The horizon is split into intervals of length at most ``interval_fraction``
@@ -362,7 +360,8 @@ def solve_stitched(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle, *,
     every interval from achieved states and concatenates controls.  Any
     SolverError in a pass (no contraction, an inner cap, a non-monotone field),
     SimulationError or ModelError halves the interval length and restarts, up
-    to ``max_halvings`` times.
+    to ``max_halvings`` times.  The returned bundle's diagnostics hold its
+    ``first_order_residual``.
     """
     n = noise.grid.n_steps
     inner_tol = max(tol / 5.0, 1e-7)
@@ -377,7 +376,7 @@ def solve_stitched(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle, *,
             raise SolverError("stitching interval shorter than one grid step")
         try:
             return _run_stitch(spec, xi0, noise, bounds, tol, inner_tol, max_fp_iter,
-                               global_passes, init_full, halving, u0)
+                               global_passes, init_full, halving)
         except (SolverError, SimulationError, ModelError) as err:
             frac /= 2.0
             failure = err
@@ -387,28 +386,24 @@ def solve_stitched(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle, *,
 
 
 def _run_stitch(spec, xi0, noise, bounds, tol, inner_tol, max_fp_iter, global_passes,
-                init_full, halving, u0):
+                init_full, halving):
     grid = noise.grid
     n = grid.n_steps
     m, k = noise.n_paths, noise.n_particles
     n_int = len(bounds) - 1
     u_full = particle_array(m, k, n, zeros=True)
-    if u0 is not None:
-        u_full[...] = u0
     terminal_cost = terminal_from_cost(spec)
     report = StitchReport(boundaries=list(grid.nodes[bounds]), fields=[], interval_ratios=[],
-                          interval_iterations=[], halvings=halving, passes=0)
-    final = None
+                          halvings=halving)
     prev_controls = None
 
     for pass_idx in range(global_passes):
-        report.passes = pass_idx + 1
         prov = simulate_forward(spec, OpenLoopControl(u_full), noise, xi0=xi0,
                                 init_states=init_full)
         # backward pass: fixed points from provisional states, fit boundary fields
         fields: dict[int, Callable[..., np.ndarray]] = {n_int: terminal_cost}
         field_objs: list[DecouplingField] = []
-        ratios, iters = [], []
+        ratios = []
         finals_hist: list[float] = []
         for r in range(n_int, 0, -1):
             lo, hi = bounds[r - 1], bounds[r]
@@ -417,7 +412,6 @@ def _run_stitch(spec, xi0, noise, bounds, tol, inner_tol, max_fp_iter, global_pa
                 spec, u_full[:, :, lo:hi], lo, hi, init, fields[r], noise,
                 tol, inner_tol, max_fp_iter)
             ratios.append(ratio)
-            iters.append(len(distances))
             finals_hist.append(distances[-1])
             if pass_idx == 0:
                 report.cold_backward_ratios.append(ratio)
@@ -445,7 +439,6 @@ def _run_stitch(spec, xi0, noise, bounds, tol, inner_tol, max_fp_iter, global_pa
                 spec, u_full[:, :, lo:hi], lo, hi, current, fields[r], noise,
                 tol, inner_tol, max_fp_iter)
             ratios.append(ratio)
-            iters.append(len(distances))
             finals_hist.append(distances[-1])
             # node hi is written again, with the same states, by the next interval
             states[:, :, lo:hi + 1] = bundle.states
@@ -457,18 +450,17 @@ def _run_stitch(spec, xi0, noise, bounds, tol, inner_tol, max_fp_iter, global_pa
             u_full[:, :, lo:hi] = bundle.controls
 
         report.interval_ratios.extend(ratios)
-        report.interval_iterations.extend(iters)
         report.fields = field_objs[::-1]
         final = SolutionBundle(states=states, controls=controls, p=p, q=q, q_tilde=qt,
                                flow=MeasureFlow(atoms=states, grid=grid), grid=grid,
                                residual_history=list(finals_hist))
-        final.diagnostics["first_order_residual"] = first_order_residual(spec, final)
         if prev_controls is not None:
             change = control_rms(controls - prev_controls, grid.dt, grid.horizon)
             if change <= tol:
                 break
         prev_controls = controls
 
+    final.diagnostics["first_order_residual"] = first_order_residual(spec, final)
     return final, report
 
 
@@ -485,7 +477,6 @@ class UniquenessReport:
     distances: list
     tol: float
     inconclusive: bool
-    condition_ok: bool
 
     @property
     def passed(self) -> bool:
@@ -493,14 +484,12 @@ class UniquenessReport:
 
 
 def uniqueness_check(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle, n_starts: int,
-                     tol: float = 1e-4, *, solver: str = "direct", seed: int = 0,
-                     start_scale: float = 0.5, condition_ok: bool = True) -> UniquenessReport:
+                     tol: float = 1e-4, *, solver: str = "direct",
+                     seed: int = 0) -> UniquenessReport:
     """Solve from randomized initial control guesses and compare the endpoints.
 
-    Each start is a direct solve, the only ``solver`` there is.
-    ``condition_ok`` records whether the smallness condition backing the
-    uniqueness statement holds; a violated condition never blocks the check,
-    the distances are simply reported without an assertion.
+    Each start is a direct solve, the only ``solver`` there is; starts after
+    the first are normal draws of scale 0.5.
     """
     if solver != "direct":
         raise SolverError(f"unknown solver {solver!r}")
@@ -510,7 +499,7 @@ def uniqueness_check(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle, n_sta
     inconclusive = False
     for s in range(n_starts):
         rng = np.random.default_rng(seed + 7919 * s)
-        u0 = np.zeros(shape) if s == 0 else start_scale * rng.standard_normal(shape)
+        u0 = np.zeros(shape) if s == 0 else 0.5 * rng.standard_normal(shape)
         try:
             bundle = solve_scaled_fbsde(spec, 1.0, xi0, None, noise, u0=u0, tol=tol)
         except SolverError:
@@ -524,5 +513,4 @@ def uniqueness_check(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle, n_sta
     return UniquenessReport(solver=solver, n_starts=n_starts,
                             max_distance=float(max(dists)) if dists else 0.0,
                             distances=[float(d) for d in dists], tol=tol,
-                            inconclusive=inconclusive or len(finals) < n_starts,
-                            condition_ok=condition_ok)
+                            inconclusive=inconclusive or len(finals) < n_starts)

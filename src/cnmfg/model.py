@@ -675,14 +675,7 @@ def _build_affine_preset(name: str, overrides: dict, *, intercept_kind: str = "a
     if allow_lq and intercept_kind == "affine" and quartic_x == 0.0 and quartic_u == 0.0:
         from .lq_oracle import LQParameters
 
-        lq = LQParameters(
-            b0=p["b0"], kappa=p["kappa"], b1=p["b1"], b2=p["b2"],
-            sigma0=p["sigma0"], sigma1=p["sigma1"], sigma2=p["sigma2"],
-            sigma_tilde0=p["sigma_tilde0"], sigma_tilde1=p["sigma_tilde1"],
-            sigma_tilde2=p["sigma_tilde2"],
-            cu=p["cu"], cx=p["cx"], c1=p["c1"], lam=p["lam"],
-            cg0=p["cg0"], cg=p["cg"], lamg=p["lamg"], horizon=p["horizon"],
-        )
+        lq = LQParameters(**p)
     return Preset(name=name, spec=spec, lq_params=lq, default_tol=default_tol)
 
 
@@ -723,4 +716,7 @@ def get_preset(name: str, params: dict | None = None) -> Preset:
     if unknown:
         raise ModelError(f"unknown preset parameter(s) {', '.join(map(repr, unknown))}; "
                          f"known: {', '.join(_LQ_DEFAULTS)}")
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ModelError(f"preset parameter {key!r} must be a number, got {value!r}")
     return _PRESET_BUILDERS[name](params)

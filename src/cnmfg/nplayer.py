@@ -25,6 +25,7 @@ from .errors import SolverError
 from .forward_sim import FeedbackControl, InitialLaw, NoiseBundle, TimeGrid, simulate_forward
 from .lq_oracle import RiccatiSolution
 from .measures import MeasureFlow, PathLaws
+from .mfg_solvers import fit_decoupling_field
 from .model import ModelSpec, per_sample_costs
 
 
@@ -51,17 +52,13 @@ class FeedbackStrategy:
 
     @classmethod
     def from_bundle(cls, bundle: SolutionBundle) -> "FeedbackStrategy":
-        """Per-step pooled regression of the solved control on (1, x, mean)."""
-        n_steps = bundle.controls.shape[2]
-        means = bundle.flow.means
-        coefs = np.empty((n_steps, 3))
-        for n in range(n_steps):
-            x = bundle.states[:, :, n].ravel()
-            mb = np.repeat(means[:, n], bundle.states.shape[1])
-            design = np.column_stack([np.ones_like(x), x, mb])
-            sol, *_ = np.linalg.lstsq(design, bundle.controls[:, :, n].ravel(), rcond=None)
-            coefs[n] = sol
-        return cls(intercept=coefs[:, 0], slope_x=coefs[:, 1], slope_mean=coefs[:, 2])
+        """Per-step pooled fit of the solved control on (1, x, mean); a
+        non-finite fit raises SolverError."""
+        fits = [fit_decoupling_field(t, bundle.states[:, :, n], bundle.flow.means[:, n],
+                                     bundle.controls[:, :, n])
+                for n, t in enumerate(bundle.grid.nodes[:-1])]
+        return cls(**{name: np.array([getattr(f, name) for f in fits])
+                      for name in ("intercept", "slope_x", "slope_mean")})
 
     @classmethod
     def from_riccati(cls, rs: RiccatiSolution) -> "FeedbackStrategy":

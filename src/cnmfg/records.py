@@ -4,8 +4,16 @@ A solve's arrays go to one ``.npz`` archive, read back bit for bit; series go
 to CSV and each run's summary to JSON.  Every artifact carries the
 configuration hash, seed and version: a header line in CSV, a ``provenance``
 entry in ``.npz``, a ``_provenance`` key in JSON.
-Configurations parse strictly: unknown keys are errors, because silently
-ignored tolerance typos are the classic failure of numerical harnesses.
+
+A configuration is one JSON object laid out as the schema table ``_SCHEMA``:
+top-level keys and the sections ``grid``, ``ensemble``, ``initial_law``,
+``solver``, ``nash`` and ``frozen_flow``, every key with one reader that is
+applied once, at parse time.  A value its reader cannot take is a
+``ConfigError`` naming the key, and so is an unknown key: silently ignored
+tolerance typos are the classic failure of numerical harnesses.  The keys of
+a section named like no ``RunConfig`` field are fields, so an absent key takes
+the field's default.  ``initial_law`` and ``frozen_flow`` are fields holding
+the keys given: a given section replaces the default whole and names its kind.
 """
 
 from __future__ import annotations
@@ -19,31 +27,65 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, SimulationError
 from .forward_sim import InitialLaw, TimeGrid
 
-_GRID_KEYS = {"horizon", "n_steps"}
-_ENSEMBLE_KEYS = {"n_common", "n_particles"}
-_LAW_KEYS = {"kind", "mu", "std", "atoms"}
-_SOLVER_KEYS = {"method", "tol", "max_iter", "eta0", "interval_fraction", "global_passes"}
-_NASH_KEYS = {"player_counts", "seeds", "n_replicas", "n_copies"}
-_FLOW_KEYS = {"kind", "value"}
-_TOP_KEYS = {"preset", "preset_params", "grid", "ensemble", "initial_law", "solver",
-             "seed", "output_dir", "nash", "frozen_flow", "oracle_levels"}
 
-_METHODS = ("continuation", "stitched", "given-m", "direct")
+def _typed(kind, what: str):
+    def read(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"{type(value).__name__} is not {what}")
+        return value
+    return read
 
 
-def _require_keys(section: dict, allowed: set, where: str):
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {where}", field=f"{where}.{key}")
+def _choice(*options: str):
+    def read(value):
+        if value not in options:
+            raise ValueError(f"expected one of {options}")
+        return value
+    return read
 
 
-def _need(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing required key {key!r} in {where}", field=f"{where}.{key}")
-    return section[key]
+_text, _list = _typed(str, "a string"), _typed((list, tuple), "a list")
+
+
+def _ints(value) -> list:
+    return [int(v) for v in _list(value)]
+
+
+_SCHEMA = {
+    "preset": _text,
+    # parameter names and values are checked by ``get_preset``
+    "preset_params": lambda v: dict(_typed(dict, "an object")(v)),
+    "grid": {"horizon": float, "n_steps": int},
+    "ensemble": {"n_common": int, "n_particles": int},
+    "initial_law": {"kind": _text, "mu": float, "std": float,
+                    "atoms": lambda v: tuple(float(a) for a in _list(v))},
+    "solver": {"method": _choice("continuation", "stitched", "given-m", "direct"),
+               "tol": lambda v: None if v is None else float(v), "max_iter": int,
+               "eta0": float, "interval_fraction": float, "global_passes": int},
+    "seed": int,
+    "output_dir": _text,
+    "nash": {"player_counts": _ints, "seeds": _ints, "n_replicas": int, "n_copies": int},
+    "frozen_flow": {"kind": _choice("dirac", "zero_control"), "value": float},
+    "oracle_levels": int,
+}
+
+
+def _read(reader, value, where: str):
+    if not isinstance(reader, dict):
+        try:
+            return reader(value)
+        except (TypeError, ValueError, OverflowError) as err:
+            raise ConfigError(f"cannot read {where} = {value!r}: {err}", field=where) from err
+    name = where or "config"
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object", field=name)
+    for key in value:
+        if key not in reader:
+            raise ConfigError(f"unknown key {key!r} in {name}", field=f"{name}.{key}")
+    return {key: _read(reader[key], v, f"{where}.{key}".lstrip(".")) for key, v in value.items()}
 
 
 @dataclass
@@ -65,94 +107,56 @@ class RunConfig:
     global_passes: int = 2
     seed: int = 42
     output_dir: str = "runs/out"
-    nash: dict = field(default_factory=lambda: {"player_counts": [4, 16, 64, 256],
-                                                "seeds": [0, 1, 2, 3, 4],
-                                                "n_replicas": 24, "n_copies": 128})
+    player_counts: list = field(default_factory=lambda: [4, 16, 64, 256])
+    seeds: list = field(default_factory=lambda: [0, 1, 2, 3, 4])
+    n_replicas: int = 24
+    n_copies: int = 128
     frozen_flow: dict = field(default_factory=lambda: {"kind": "dirac", "value": 0.0})
     oracle_levels: int = 3
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("configuration root must be an object")
-        _require_keys(raw, _TOP_KEYS, "config")
-        preset = _need(raw, "preset", "config")
-        if not isinstance(preset, str):
-            raise ConfigError("preset must be a string", field="preset")
-        grid = raw.get("grid", {})
-        _require_keys(grid, _GRID_KEYS, "grid")
-        ensemble = raw.get("ensemble", {})
-        _require_keys(ensemble, _ENSEMBLE_KEYS, "ensemble")
-        law = dict(raw.get("initial_law", {"kind": "normal", "mu": 1.0, "std": 0.5}))
-        _require_keys(law, _LAW_KEYS, "initial_law")
-        solver = raw.get("solver", {})
-        _require_keys(solver, _SOLVER_KEYS, "solver")
-        nash = dict(cls.__dataclass_fields__["nash"].default_factory())
-        nash.update(raw.get("nash", {}))
-        _require_keys(nash, _NASH_KEYS, "nash")
-        flow = dict(raw.get("frozen_flow", {"kind": "dirac", "value": 0.0}))
-        _require_keys(flow, _FLOW_KEYS, "frozen_flow")
-
-        cfg = cls(
-            preset=preset,
-            preset_params=dict(raw.get("preset_params", {})),
-            horizon=float(grid.get("horizon", 1.0)),
-            n_steps=int(grid.get("n_steps", 100)),
-            n_common=int(ensemble.get("n_common", 64)),
-            n_particles=int(ensemble.get("n_particles", 256)),
-            initial_law=law,
-            method=str(solver.get("method", "continuation")),
-            tol=None if solver.get("tol") is None else float(solver["tol"]),
-            max_iter=int(solver.get("max_iter", 60)),
-            eta0=float(solver.get("eta0", 0.25)),
-            interval_fraction=float(solver.get("interval_fraction", 0.25)),
-            global_passes=int(solver.get("global_passes", 2)),
-            seed=int(raw.get("seed", 42)),
-            output_dir=str(raw.get("output_dir", "runs/out")),
-            nash=nash,
-            frozen_flow=flow,
-            oracle_levels=int(raw.get("oracle_levels", 3)),
-        )
+        values = {}
+        for name, value in _read(_SCHEMA, raw, "").items():
+            if name not in cls.__dataclass_fields__:
+                values.update(value)     # a section whose keys are fields
+                continue
+            if isinstance(_SCHEMA[name], dict) and "kind" not in value:
+                raise ConfigError(f"missing required key 'kind' in {name}", field=f"{name}.kind")
+            values[name] = value
+        if "preset" not in values:
+            raise ConfigError("missing required key 'preset' in config", field="config.preset")
+        cfg = cls(**values)
         cfg.validate()
         return cfg
 
     def validate(self):
-        if self.method not in _METHODS:
-            raise ConfigError(f"unknown solver method {self.method!r}; expected one of {_METHODS}",
-                              field="solver.method")
-        if self.horizon <= 0 or self.n_steps < 1:
-            raise ConfigError("grid needs positive horizon and at least one step", field="grid")
+        for name, build in (("grid", self.grid), ("initial_law", self.law)):
+            try:
+                build()
+            except SimulationError as err:
+                raise ConfigError(str(err), field=name) from err
         if self.n_common < 1 or self.n_particles < 1:
             raise ConfigError("ensemble sizes must be positive", field="ensemble")
         if self.tol is not None and self.tol <= 0:
             raise ConfigError("tolerance must be positive", field="solver.tol")
+        for name in ("max_iter", "global_passes"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1", field=f"solver.{name}")
         if not 0 < self.eta0 <= 1:
             raise ConfigError("eta0 must lie in (0, 1]", field="solver.eta0")
         if not 0 < self.interval_fraction <= 1:
             raise ConfigError("interval fraction must lie in (0, 1]", field="solver.interval_fraction")
-        if self.initial_law.get("kind") not in ("constant", "normal", "empirical"):
-            raise ConfigError("initial law kind must be constant, normal, or empirical",
-                              field="initial_law.kind")
-        if self.frozen_flow.get("kind") not in ("dirac", "zero_control"):
-            raise ConfigError("frozen flow kind must be dirac or zero_control",
-                              field="frozen_flow.kind")
 
     def to_dict(self) -> dict:
-        return {
-            "preset": self.preset,
-            "preset_params": dict(self.preset_params),
-            "grid": {"horizon": self.horizon, "n_steps": self.n_steps},
-            "ensemble": {"n_common": self.n_common, "n_particles": self.n_particles},
-            "initial_law": dict(self.initial_law),
-            "solver": {"method": self.method, "tol": self.tol, "max_iter": self.max_iter,
-                       "eta0": self.eta0, "interval_fraction": self.interval_fraction,
-                       "global_passes": self.global_passes},
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "nash": dict(self.nash),
-            "frozen_flow": dict(self.frozen_flow),
-            "oracle_levels": self.oracle_levels,
-        }
+        out = {}
+        for name, reader in _SCHEMA.items():
+            if name not in self.__dataclass_fields__:
+                out[name] = {key: getattr(self, key) for key in reader}
+            else:
+                value = getattr(self, name)
+                out[name] = dict(value) if isinstance(value, dict) else value
+        return out
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
@@ -168,11 +172,7 @@ class RunConfig:
         return TimeGrid(self.horizon, self.n_steps)
 
     def law(self) -> InitialLaw:
-        law = dict(self.initial_law)
-        kind = law.pop("kind")
-        if kind == "empirical":
-            return InitialLaw(kind=kind, atoms=tuple(law.get("atoms", ())))
-        return InitialLaw(kind=kind, mu=float(law.get("mu", 0.0)), std=float(law.get("std", 1.0)))
+        return InitialLaw(**self.initial_law)
 
     def config_hash(self) -> str:
         """Hash of what is computed; where the artifacts go is not part of it."""
@@ -190,12 +190,12 @@ class RunWriter:
         self.dir.mkdir(parents=True, exist_ok=True)
         self.provenance = f"config_hash={config_hash} seed={seed} version={__version__}"
 
-    def csv(self, name: str, columns: list[str], rows: np.ndarray, fmt: str = "%.10g"):
+    def csv(self, name: str, columns: list[str], rows: np.ndarray):
         path = self.dir / name
         with open(path, "w") as fh:
             fh.write(f"# {self.provenance}\n")
             fh.write(",".join(columns) + "\n")
-            np.savetxt(fh, np.atleast_2d(rows), delimiter=",", fmt=fmt)
+            np.savetxt(fh, np.atleast_2d(rows), delimiter=",", fmt="%.10g")
         return path
 
     def npz(self, name: str, **arrays: np.ndarray):

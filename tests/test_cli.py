@@ -62,6 +62,51 @@ def test_unknown_preset_is_exit_code_two(tmp_path, capsys):
     assert "'kapa'" in err and "(field: preset_params)" in err
 
 
+LAW = {"kind": "normal", "mu": 1.0, "std": 0.5}
+
+
+@pytest.mark.parametrize("command, overrides, field", [
+    ("solve", {"grid": 5}, "grid"),
+    ("solve", {"grid": {"horizon": 1.0, "n_steps": "abc"}}, "grid.n_steps"),
+    ("solve", {"seed": None}, "seed"),
+    ("solve", {"solver": None}, "solver"),
+    ("solve", {"initial_law": 3}, "initial_law"),
+    ("solve", {"initial_law": dict(LAW, mu="x")}, "initial_law.mu"),
+    ("solve", {"initial_law": dict(LAW, std=-1)}, "initial_law"),
+    ("solve", {"initial_law": {"kind": "empirical"}}, "initial_law"),
+    ("solve", {"oracle_levels": "x"}, "oracle_levels"),
+    ("solve", {"preset_params": [1, 2]}, "preset_params"),
+    ("solve", {"preset_params": {"b1": "x"}}, "preset_params"),
+    ("solve", {"solver": {"method": "given-m"}, "frozen_flow": {"kind": "dirac", "value": "x"}},
+     "frozen_flow.value"),
+    ("nash", {"nash": {"n_replicas": "x"}}, "nash.n_replicas"),
+    ("nash", {"nash": {"player_counts": 4}}, "nash.player_counts"),
+    ("solve", {"solver": {"method": "direct", "max_iter": 0}}, "solver.max_iter"),
+    ("solve", {"solver": {"method": "direct", "max_iter": -1}}, "solver.max_iter"),
+    ("solve", {"solver": {"method": "stitched", "global_passes": 0}}, "solver.global_passes"),
+])
+def test_malformed_values_are_config_errors(tmp_path, capsys, command, overrides, field):
+    path = write_config(tmp_path / "cfg.json", **overrides)
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"(field: {field})" in err
+    assert "Traceback" not in err
+
+
+def test_shipped_configs_load_and_round_trip():
+    paths = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+    assert paths
+    for path in paths:
+        cfg = RunConfig.load(path)
+        again = RunConfig.from_dict(cfg.to_dict())
+        assert again.to_dict() == cfg.to_dict()
+        assert again.config_hash() == cfg.config_hash()
+
+
+def test_dataclass_defaults_are_the_parse_defaults():
+    assert RunConfig(preset="lq").to_dict() == RunConfig.from_dict({"preset": "lq"}).to_dict()
+
+
 SOLUTION_KEYS = ("states", "controls", "p", "q", "q_tilde")
 
 

@@ -284,13 +284,6 @@ def test_noise_bundle_from_arrays():
     # initial draws stay keyed by the seed
     law = InitialLaw(kind="normal", mu=0.0, std=1.0)
     assert np.array_equal(given.initial_states(law), seeded.initial_states(law))
-
-    # meta describes the increments held, not the seed's draws
-    meta = given.meta()
-    assert meta["increments"] == "given"
-    assert "increments" not in seeded.meta()
-    assert meta["digest"] == NoiseBundle.from_arrays(13, grid, dW, dwc).meta()["digest"]
-    assert meta["digest"] != NoiseBundle.from_arrays(13, grid, seeded.dW, dwc).meta()["digest"]
     with pytest.raises(SimulationError):
         NoiseBundle.from_arrays(13, grid, dW, dwc[:, :5])
 

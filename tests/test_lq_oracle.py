@@ -182,7 +182,7 @@ def test_conditional_mean_follows_closed_dynamics():
     noise = NoiseBundle(seed=7, n_paths=16, n_particles=512, grid=grid)
     xi0 = InitialLaw(kind="normal", mu=1.0, std=0.5)
     rs = solve_riccati(GENERAL, grid)
-    bundle = oracle_solution(GENERAL, noise, xi0, riccati=rs)
+    bundle = oracle_solution(GENERAL, noise, xi0)
     emp = bundle.states.mean(axis=1)
     spec = get_preset("lq", dataclasses.asdict(GENERAL)).spec
     strategy = FeedbackStrategy.from_riccati(rs)

@@ -285,11 +285,6 @@ def test_uniqueness_check():
     assert rep3.max_distance <= 5 * 3e-4
     assert rep3.passed
 
-    # condition-violated route only records; pass/fail semantics unchanged
-    rep_flag = uniqueness_check(preset.spec, XI0, noise, n_starts=1, tol=3e-4,
-                                condition_ok=False)
-    assert rep_flag.condition_ok is False
-
     with pytest.raises(SolverError, match="unknown solver"):
         uniqueness_check(preset.spec, XI0, noise, n_starts=1, solver="stitched")
 

@@ -1,6 +1,7 @@
 """Finite-player game: exchangeability, gap estimator, trends."""
 
 import numpy as np
+import pytest
 
 from cnmfg.bsde import picard_solve, terminal_from_cost
 from cnmfg.errors import SolverError
@@ -30,6 +31,16 @@ def test_feedback_from_bundle_matches_riccati_feedback():
     sl = slice(2, 45)
     assert np.max(np.abs(fitted.slope_x[sl] - exact.slope_x[sl])) < 0.08
     assert np.max(np.abs(fitted.intercept[sl] - exact.intercept[sl])) < 0.08
+
+
+def test_feedback_from_bundle_rejects_a_non_finite_fit():
+    preset = get_preset("lq")
+    grid = TimeGrid(1.0, 5)
+    noise = NoiseBundle(seed=3, n_paths=4, n_particles=8, grid=grid)
+    bundle = solve_scaled_fbsde(preset.spec, 1.0, XI0, None, noise, tol=1e-3)
+    bundle.controls[0, 0, 2] = np.nan
+    with pytest.raises(SolverError, match="non-finite"):
+        FeedbackStrategy.from_bundle(bundle)
 
 
 def test_symmetric_players_zero_noise_identical_paths():
