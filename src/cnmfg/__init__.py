@@ -16,13 +16,13 @@ from .model import (ConditionReport, CostSpec, LinearCoefficient, ModelSpec, Pre
                     ValidationReport, cost_functional, get_preset, hamiltonian, hamiltonian_dx,
                     minimize_hamiltonian, minimize_hamiltonian_values, preset_names,
                     sufficient_condition_report, validate_assumptions, SHIPPED_PRESETS)
-from .forward_sim import (FeedbackControl, InitialLaw, NoiseBundle, OpenLoopControl,
-                          ParticleEnsemble, TimeGrid, simulate_forward)
+from .forward_sim import (FeedbackControl, InitialLaw, InputPerturbation, NoiseBundle,
+                          OpenLoopControl, ParticleEnsemble, TimeGrid, simulate_forward)
 from .bsde import (BackwardSolution, SolutionBundle, control_rms, first_order_residual,
                    picard_solve, solution_distance, solution_norm, solve_bsde_given_control,
                    terminal_from_cost)
 from .lq_oracle import LQParameters, RiccatiSolution, lq_cost_oracle, oracle_solution, solve_riccati
-from .mfg_solvers import (ContinuationState, DecouplingField, InputPerturbation, StitchReport,
+from .mfg_solvers import (ContinuationState, DecouplingField, StitchReport,
                           UniquenessReport, fit_decoupling_field, interval_best_response,
                           solve_continuation, solve_scaled_fbsde, solve_stitched,
                           uniqueness_check)

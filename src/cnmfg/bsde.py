@@ -45,8 +45,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import SolverError
-from .forward_sim import (InitialLaw, NoiseBundle, OpenLoopControl, ParticleEnsemble, TimeGrid,
-                          particle_array, simulate_forward, time_major)
+from .forward_sim import (InitialLaw, InputPerturbation, NoiseBundle, OpenLoopControl,
+                          ParticleEnsemble, TimeGrid, particle_array, simulate_forward, time_major)
 from .measures import MeasureFlow
 from .model import ModelSpec, control_loading, hamiltonian_dx, minimize_hamiltonian_values
 
@@ -85,10 +85,6 @@ class SolutionBundle:
     grid: TimeGrid
     residual_history: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def ensemble(self) -> ParticleEnsemble:
-        return ParticleEnsemble(states=self.states, controls=self.controls, grid=self.grid)
 
 
 def solution_norm(bundle: SolutionBundle) -> float:
@@ -192,8 +188,7 @@ def _cross_path_design(spec: ModelSpec, flow: MeasureFlow, noise: NoiseBundle,
 
 def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: MeasureFlow,
                              terminal: Callable[..., np.ndarray], noise: NoiseBundle,
-                             *, gamma: float = 1.0, input_f: np.ndarray | None = None,
-                             input_g: np.ndarray | None = None,
+                             *, gamma: float = 1.0, inputs: InputPerturbation | None = None,
                              design: tuple[np.ndarray, np.ndarray] | None = None
                              ) -> BackwardSolution:
     """Backward solve for a given control and frozen measure flow on the noise's grid.
@@ -216,8 +211,8 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
     q = particle_array(m, k, span)
     qt = particle_array(m, k, span)
     terminal_values = gamma * np.asarray(terminal(states[:, :, -1], flow.at(span)))
-    if input_g is not None:
-        terminal_values = terminal_values + input_g
+    if inputs is not None:
+        terminal_values = terminal_values + inputs.g
     p[:, :, span] = terminal_values
 
     basis = np.empty((m, 3, k))          # rows [1, z, z^2] of each path
@@ -265,8 +260,8 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
         # H_x at p = 0: its b1 * p term is implicit, in the denominator below
         p_n += (gamma * dt) * hamiltonian_dx(spec, t, x, 0.0, q_val, qt_val, controls[:, :, n],
                                              flow.at(n))
-        if input_f is not None:
-            p_n += dt * input_f[:, :, n]
+        if inputs is not None:
+            p_n += dt * inputs.f[:, :, n]
         p_n /= 1.0 - gamma * spec.drift.phi1(t) * dt
 
         var_y = float(np.var(y))
@@ -308,16 +303,16 @@ def _anderson_weights(gram: np.ndarray) -> np.ndarray:
 def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: Callable[..., np.ndarray], *,
                  xi0: InitialLaw | None = None, init_states: np.ndarray | None = None,
                  frozen_flow: MeasureFlow | None = None, gamma: float = 1.0,
-                 inputs: dict | None = None, u0: np.ndarray | None = None,
+                 inputs: InputPerturbation | None = None, u0: np.ndarray | None = None,
                  tol: float = 1e-4, max_iter: int = 60) -> SolutionBundle:
     """Solve the coupled system on the noise's grid by accelerated Picard iteration on the control.
 
     With ``frozen_flow`` (on the noise's grid) the measure argument stays fixed
     (the control problem for a given flow); otherwise each sweep re-simulates
     the conditional particle system so the flow is the live empirical one.
-    ``gamma`` and ``inputs`` (keys "b", "sigma", "sigma_tilde", "f" as
-    [j, k, step] tables and "g" as [j, k]) realize the coefficient-scaled
-    system with exogenous perturbations.
+    ``gamma`` and the tables of ``inputs`` realize the coefficient-scaled
+    system with exogenous perturbations: ``simulate_forward`` reads ``b``,
+    ``sigma`` and ``sigma_tilde``, the backward solve ``f`` and ``g``.
 
     A sweep maps the control u to the pointwise Hamiltonian minimizer along
     the forward and backward solutions under u; f is its residual.  The step
@@ -349,8 +344,6 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: Callable[..., np
     u = particle_array(noise.n_paths, noise.n_particles, grid.n_steps, zeros=True) if u0 is None \
         else time_major(u0)
     start = None if u0 is None else u
-    inputs = inputs or {}
-    sim_inputs = {key: inputs[key] for key in ("b", "sigma", "sigma_tilde") if key in inputs}
 
     history: list[float] = []
     flow_dists: list[float] = []
@@ -367,7 +360,7 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: Callable[..., np
     for it in range(max_iter):
         ens = simulate_forward(spec, OpenLoopControl(u), noise, xi0,
                                init_states=init_states, frozen_flow=frozen_flow,
-                               gamma=gamma, inputs=sim_inputs)
+                               gamma=gamma, inputs=inputs)
         flow = frozen_flow if frozen_flow is not None else ens.flow
         if frozen_flow is None:
             if prev_flow is not None:
@@ -387,8 +380,7 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: Callable[..., np
         if design is None or frozen_flow is None:
             design = _cross_path_design(spec, flow, noise, gate_plan)
         back = solve_bsde_given_control(spec, ens, flow, terminal, noise, gamma=gamma,
-                                        input_f=inputs.get("f"), input_g=inputs.get("g"),
-                                        design=design)
+                                        inputs=inputs, design=design)
 
         # the Newton minimizer starts from the current control, within one
         # Picard step of its root from the second sweep on.  A full history

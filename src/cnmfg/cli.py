@@ -54,6 +54,7 @@ def _load(args) -> RunConfig:
         cfg.seed = args.seed
     if args.out is not None:
         cfg.output_dir = args.out
+    cfg.validate()
     return cfg
 
 

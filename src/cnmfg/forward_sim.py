@@ -178,6 +178,30 @@ class NoiseBundle:
 
 
 @dataclass
+class InputPerturbation:
+    """Exogenous input tables of the coefficient-scaled system.
+
+    ``b``, ``sigma``, ``sigma_tilde`` add to the drift and the volatilities and
+    ``f`` to the adjoint's driver, indexed [path, particle, step]; ``g``
+    (path, particle) adds to the terminal condition.  ``norm``: the square root
+    of the terminal mean square plus the time integral of the running squares.
+    """
+
+    b: np.ndarray
+    sigma: np.ndarray
+    sigma_tilde: np.ndarray
+    f: np.ndarray
+    g: np.ndarray
+    dt: float
+
+    @property
+    def norm(self) -> float:
+        running = np.sum(self.b ** 2 + self.sigma ** 2 + self.sigma_tilde ** 2 + self.f ** 2,
+                         axis=2) * self.dt
+        return float(np.sqrt(np.mean(self.g ** 2 + running)))
+
+
+@dataclass
 class OpenLoopControl:
     """Control table u[j, k, n] on grid intervals [t_n, t_{n+1}).
 
@@ -219,17 +243,17 @@ def simulate_forward(spec: ModelSpec, rule: ControlRule, noise: NoiseBundle,
                      init_states: np.ndarray | None = None,
                      frozen_flow: MeasureFlow | None = None,
                      gamma: float = 1.0,
-                     inputs: dict | None = None) -> ParticleEnsemble:
+                     inputs: InputPerturbation | None = None) -> ParticleEnsemble:
     """Euler scheme for the conditional particle system on the grid of ``noise``.
 
     By default the measure argument of every coefficient is the live per-path
     empirical law (the conditional McKean-Vlasov case); passing ``frozen_flow``
     evaluates coefficients on a fixed flow instead, which must lie on the
-    noise's grid.  ``gamma`` scales the model coefficients and ``inputs`` adds
-    exogenous tables (keys "b", "sigma", "sigma_tilde", arrays indexed
-    [j, k, step]) - together they realize the coefficient-scaled systems used
-    by the continuation solver.  The simulation is deterministic given the
-    noise bundle.
+    noise's grid.  ``gamma`` scales the model coefficients and the tables
+    ``inputs.b``, ``inputs.sigma`` and ``inputs.sigma_tilde`` add to them:
+    together they realize the coefficient-scaled systems used by the
+    continuation solver.  The simulation is deterministic given the noise
+    bundle.
     """
     grid = noise.grid
     if frozen_flow is not None and frozen_flow.grid != grid:
@@ -252,10 +276,6 @@ def simulate_forward(spec: ModelSpec, rule: ControlRule, noise: NoiseBundle,
         raise SimulationError(f"control table {controls.shape} does not match the "
                               f"{(m, k, grid.n_steps)} particle layout")
     states[:, :, 0] = init_states
-    inputs = inputs or {}
-    in_b = inputs.get("b")
-    in_s = inputs.get("sigma")
-    in_st = inputs.get("sigma_tilde")
 
     for n in range(grid.n_steps):
         t = nodes[n]
@@ -274,12 +294,10 @@ def simulate_forward(spec: ModelSpec, rule: ControlRule, noise: NoiseBundle,
             drift = gamma * spec.drift.values(t, x, u, law)
             dvol = gamma * spec.vol.values(t, x, u, law)
             dvolc = gamma * spec.vol_common.values(t, x, u, law)
-            if in_b is not None:
-                drift = drift + in_b[:, :, n]
-            if in_s is not None:
-                dvol = dvol + in_s[:, :, n]
-            if in_st is not None:
-                dvolc = dvolc + in_st[:, :, n]
+            if inputs is not None:
+                drift = drift + inputs.b[:, :, n]
+                dvol = dvol + inputs.sigma[:, :, n]
+                dvolc = dvolc + inputs.sigma_tilde[:, :, n]
             nxt = x + drift * dt + dvol * noise.dW[:, :, n] + dvolc * noise.dW_common[:, n][:, None]
         if not np.all(np.isfinite(nxt)):
             j_bad, k_bad = np.argwhere(~np.isfinite(nxt))[0]

@@ -258,7 +258,7 @@ def oracle_solution(params: LQParameters, noise: NoiseBundle, xi0: InitialLaw) -
                                        "matching_residual_max": rs.matching_residual_max})
 
 
-def _initial_moments(xi0: InitialLaw) -> tuple[float, float]:
+def initial_moments(xi0: InitialLaw) -> tuple[float, float]:
     if xi0.kind == "constant":
         return xi0.mu, xi0.mu ** 2
     if xi0.kind == "normal":
@@ -275,7 +275,7 @@ def lq_cost_oracle(params: LQParameters, xi0: InitialLaw, grid: TimeGrid) -> flo
     functionals of these moments.
     """
     rs = solve_riccati(params, grid)
-    p1_0, p2_0 = _initial_moments(xi0)
+    p1_0, p2_0 = initial_moments(xi0)
     # mbar_0 is the deterministic initial mean in the population limit
     state = np.array([p1_0, p2_0, p1_0 ** 2, p1_0 ** 2, 0.0])  # P1, P2, C, Q2, running cost
     n_fine = grid.n_steps * 10

@@ -3,13 +3,11 @@
 Equal-weight empirical measures are the only measure representation in the
 package: particle systems produce them, and in one dimension the quadratic
 Wasserstein distance between equal-weight measures is exact via the sorted
-(monotone) coupling.  Weighted inputs with a rational common denominator are
-refined to equal weights before comparison.
+(monotone) coupling.  Measures are compared only at equal atom counts.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -19,10 +17,6 @@ from .errors import MeasureError
 
 if TYPE_CHECKING:
     from .forward_sim import TimeGrid
-
-# Refinement guard: lcm expansion beyond this atom count is rejected.
-_MAX_REFINED_ATOMS = 10_000_000
-
 
 def particle_array(n_paths: int, n_atoms: int, n_nodes: int, *, zeros: bool = False) -> np.ndarray:
     """A (path, atom, node) array stored time-major, as memory (node, path, atom).
@@ -73,27 +67,16 @@ def second_moment(m: EmpiricalMeasure) -> float:
     return float(np.mean(m.atoms ** 2))
 
 
-def _refine_to_common_size(m1: EmpiricalMeasure, m2: EmpiricalMeasure) -> tuple[np.ndarray, np.ndarray]:
-    n1, n2 = m1.n_atoms, m2.n_atoms
-    if n1 == n2:
-        return m1.atoms, m2.atoms
-    common = math.lcm(n1, n2)
-    if common > _MAX_REFINED_ATOMS:
-        raise MeasureError(
-            f"incompatible supports: atom counts {n1} and {n2} have no tractable common refinement"
-        )
-    return np.repeat(m1.atoms, common // n1), np.repeat(m2.atoms, common // n2)
-
-
 def wasserstein2(m1: EmpiricalMeasure, m2: EmpiricalMeasure) -> float:
     """Exact quadratic Wasserstein distance between equal-weight empirical measures.
 
     In one dimension the monotone (sorted) coupling is optimal, so the distance
     is the root-mean-square difference of the sorted atom vectors.  Unequal atom
-    counts are refined to the least common multiple first.
+    counts raise MeasureError.
     """
-    a, b = _refine_to_common_size(m1, m2)
-    d = np.sort(a, kind="stable") - np.sort(b, kind="stable")
+    if m1.n_atoms != m2.n_atoms:
+        raise MeasureError(f"atom counts {m1.n_atoms} and {m2.n_atoms} differ")
+    d = np.sort(m1.atoms, kind="stable") - np.sort(m2.atoms, kind="stable")
     return float(np.sqrt(np.mean(d ** 2)))
 
 
@@ -146,11 +129,6 @@ class MeasureFlow:
     @property
     def n_paths(self) -> int:
         return self.atoms.shape[0]
-
-    def measure(self, n: int, j: int) -> EmpiricalMeasure:
-        if not 0 <= j < self.n_paths:
-            raise MeasureError(f"path {j} outside 0..{self.n_paths - 1}")
-        return EmpiricalMeasure(self.at(n).atoms[j].copy())
 
     @property
     def means(self) -> np.ndarray:

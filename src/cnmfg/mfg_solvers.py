@@ -39,8 +39,8 @@ import numpy as np
 from .bsde import (SolutionBundle, control_rms, first_order_residual, picard_solve,
                    solution_distance, terminal_from_cost)
 from .errors import ModelError, SimulationError, SolverError
-from .forward_sim import (InitialLaw, NoiseBundle, OpenLoopControl, particle_array,
-                          simulate_forward, time_major)
+from .forward_sim import (InitialLaw, InputPerturbation, NoiseBundle, OpenLoopControl,
+                          particle_array, simulate_forward)
 from .measures import MeasureFlow
 from .model import ModelSpec, hamiltonian_dx
 
@@ -48,46 +48,6 @@ from .model import ModelSpec, hamiltonian_dx
 _FORCING = 0.05
 # outer distance, per unit of tol, at which a stage before the last is accepted
 _PATH_TOL = 40.0
-
-
-@dataclass
-class InputPerturbation:
-    """Exogenous square-integrable perturbations injected into the dynamics.
-
-    Tables are indexed [path, particle, step] and stored time-major; ``g``
-    perturbs the terminal condition.  ``norm`` is the input norm: terminal mean
-    square plus the time integral of the squared running perturbations,
-    square-rooted.
-    """
-
-    b: np.ndarray
-    sigma: np.ndarray
-    sigma_tilde: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    dt: float
-
-    def __post_init__(self):
-        self.b, self.sigma, self.sigma_tilde, self.f = (
-            time_major(a) for a in (self.b, self.sigma, self.sigma_tilde, self.f))
-
-    @classmethod
-    def zero(cls, n_paths: int, n_particles: int, n_steps: int, dt: float) -> "InputPerturbation":
-        def table():
-            return particle_array(n_paths, n_particles, n_steps, zeros=True)
-
-        return cls(b=table(), sigma=table(), sigma_tilde=table(), f=table(),
-                   g=np.zeros((n_paths, n_particles)), dt=dt)
-
-    @property
-    def norm(self) -> float:
-        running = np.sum(self.b ** 2 + self.sigma ** 2 + self.sigma_tilde ** 2 + self.f ** 2,
-                         axis=2) * self.dt
-        return float(np.sqrt(np.mean(self.g ** 2 + running)))
-
-    def as_dict(self) -> dict:
-        return {"b": self.b, "sigma": self.sigma, "sigma_tilde": self.sigma_tilde,
-                "f": self.f, "g": self.g}
 
 
 def solve_scaled_fbsde(spec: ModelSpec, gamma: float, xi0: InitialLaw,
@@ -105,10 +65,8 @@ def solve_scaled_fbsde(spec: ModelSpec, gamma: float, xi0: InitialLaw,
     """
     if not 0.0 <= gamma <= 1.0:
         raise SolverError(f"gamma must lie in [0, 1], got {gamma}")
-    terminal = terminal_from_cost(spec)
-    in_dict = inputs.as_dict() if inputs is not None else None
-    bundle = picard_solve(spec, noise, terminal, xi0=xi0, gamma=gamma, inputs=in_dict,
-                          u0=u0, tol=tol, max_iter=max_iter)
+    bundle = picard_solve(spec, noise, terminal_from_cost(spec), xi0=xi0, gamma=gamma,
+                          inputs=inputs, u0=u0, tol=tol, max_iter=max_iter)
     bundle.diagnostics["first_order_residual"] = first_order_residual(spec, bundle)
     return bundle
 
@@ -165,8 +123,8 @@ def _observed_ratio(distances: list[float], floor: float) -> float:
 
 def solve_continuation(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle,
                        *, eta0: float = 0.25, tol: float = 1e-4, max_picard: int = 30,
-                       inner_tol: float | None = None, max_iter_inner: int = 60,
-                       u0: np.ndarray | None = None) -> tuple[SolutionBundle, ContinuationState]:
+                       inner_tol: float | None = None, max_iter_inner: int = 60
+                       ) -> tuple[SolutionBundle, ContinuationState]:
     """Walk the coupling scale from 0 to 1 by contraction steps.
 
     Each advance gamma -> gamma + eta iterates: assemble inputs eta * (model
@@ -188,19 +146,16 @@ def solve_continuation(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle,
     ``inner_tol``, so the returned bundle is solved to ``inner_tol``.
     ``ContinuationStep.sweeps`` holds the inner sweeps of each iteration.
     """
-    grid = noise.grid
     inner_tol = inner_tol if inner_tol is not None else max(tol / 5.0, 1e-7)
-    zero = InputPerturbation.zero(noise.n_paths, noise.n_particles, grid.n_steps, grid.dt)
-    bundle = solve_scaled_fbsde(spec, 0.0, xi0, zero, noise, tol=inner_tol,
-                                max_iter=max_iter_inner, u0=u0)
+    bundle = solve_scaled_fbsde(spec, 0.0, xi0, None, noise, tol=inner_tol,
+                                max_iter=max_iter_inner)
     state = ContinuationState(gamma=0.0, eta=eta0, bundle=bundle)
     clean_streak = 0
 
     while state.gamma < 1.0 - 1e-12:
         eta = min(state.eta, 1.0 - state.gamma)
-        current = state.bundle
         distances: list[float] = []
-        iterate = current
+        iterate = state.bundle
         converged = False
         # contraction iteration at fixed (gamma, eta); final step gets the tight tolerance
         last = state.gamma + eta >= 1.0 - 1e-12
@@ -300,8 +255,7 @@ def fit_decoupling_field(tau: float, states: np.ndarray, means: np.ndarray,
 
 def interval_best_response(spec: ModelSpec, u_hat: np.ndarray, n_lo: int, n_hi: int,
                            init_states: np.ndarray, terminal: Callable[..., np.ndarray],
-                           noise: NoiseBundle, *, inner_tol: float = 1e-5,
-                           max_iter: int = 60) -> SolutionBundle:
+                           noise: NoiseBundle, *, inner_tol: float = 1e-5) -> SolutionBundle:
     """One application of the interval map: population under u_hat, then best response.
 
     On the window of steps n_lo..n_hi - 1 of ``noise``, simulates the
@@ -313,7 +267,7 @@ def interval_best_response(spec: ModelSpec, u_hat: np.ndarray, n_lo: int, n_hi: 
     window = noise.window(n_lo, n_hi)
     hat_ens = simulate_forward(spec, OpenLoopControl(u_hat), window, init_states=init_states)
     return picard_solve(spec, window, terminal, init_states=init_states,
-                        frozen_flow=hat_ens.flow, u0=u_hat, tol=inner_tol, max_iter=max_iter)
+                        frozen_flow=hat_ens.flow, u0=u_hat, tol=inner_tol)
 
 
 def _interval_fixed_point(spec, u_start, n_lo, n_hi, init_states, terminal, noise,
@@ -471,8 +425,6 @@ def _run_stitch(spec, xi0, noise, bounds, tol, inner_tol, max_fp_iter, global_pa
 
 @dataclass
 class UniquenessReport:
-    solver: str
-    n_starts: int
     max_distance: float
     distances: list
     tol: float
@@ -510,7 +462,6 @@ def uniqueness_check(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle, n_sta
     for i in range(len(finals)):
         for j in range(i + 1, len(finals)):
             dists.append(control_rms(finals[i] - finals[j], grid.dt, grid.horizon))
-    return UniquenessReport(solver=solver, n_starts=n_starts,
-                            max_distance=float(max(dists)) if dists else 0.0,
+    return UniquenessReport(max_distance=float(max(dists)) if dists else 0.0,
                             distances=[float(d) for d in dists], tol=tol,
                             inconclusive=inconclusive or len(finals) < n_starts)

@@ -509,10 +509,9 @@ def gronwall_constants(L: float, T: float) -> tuple[float, float]:
     return c1, c2
 
 
-def sufficient_condition_report(spec: ModelSpec, terminal_lipschitz: float | None = None) -> ConditionReport:
+def sufficient_condition_report(spec: ModelSpec) -> ConditionReport:
     """Evaluate every smallness condition the two constructive methods rely on."""
-    L, T, cf = spec.L, spec.horizon, spec.C_f
-    cv = spec.terminal_lipschitz if terminal_lipschitz is None else terminal_lipschitz
+    L, T, cf, cv = spec.L, spec.horizon, spec.C_f, spec.terminal_lipschitz
     c1, c2 = gronwall_constants(L, T)
     delta_cont = 2.0 / (3.0 * T * c1 + max(1.0, T) * (c1 + 1.0) * c2)
     delta_uni = 2.0 / (c2 * (1.0 + c1) * (T + 1.0) + 3.0 * T * c1)
@@ -717,6 +716,7 @@ def get_preset(name: str, params: dict | None = None) -> Preset:
         raise ModelError(f"unknown preset parameter(s) {', '.join(map(repr, unknown))}; "
                          f"known: {', '.join(_LQ_DEFAULTS)}")
     for key, value in params.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ModelError(f"preset parameter {key!r} must be a number, got {value!r}")
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or isinstance(value, float) and not math.isfinite(value)):
+            raise ModelError(f"preset parameter {key!r} must be a finite number, got {value!r}")
     return _PRESET_BUILDERS[name](params)

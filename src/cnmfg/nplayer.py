@@ -1,11 +1,11 @@
 """Finite-player game under the population feedback and empirical near-equilibrium gaps.
 
-An N-player game is the particle system with a single common path and one
-particle per player: every player applies the same feedback evaluated at the
-player's own state with the population law replaced by the empirical measure
-over the N players.  A path's law is the empirical law of its own row, so a
-batch of independent games (one seed each) is played as the paths of one
-particle simulation, each game bit for bit as if it were played alone.
+An N-player game is the particle system with one common path and one particle
+per player: every player applies the same feedback at its own state and the
+population-limit mean of the game's common noise, while coefficients and costs
+read the empirical measure over the N players.  A path's law is the empirical
+law of its own row, so a batch of independent games (one seed each) is played
+as the paths of one particle simulation, each game bit for bit as if alone.
 
 The equilibrium quality of the feedback is probed by the gap between a
 player's cost under it and the cost of a best response computed against the
@@ -23,7 +23,7 @@ import numpy as np
 from .bsde import SolutionBundle, picard_solve, terminal_from_cost
 from .errors import SolverError
 from .forward_sim import FeedbackControl, InitialLaw, NoiseBundle, TimeGrid, simulate_forward
-from .lq_oracle import RiccatiSolution
+from .lq_oracle import RiccatiSolution, initial_moments
 from .measures import MeasureFlow, PathLaws
 from .mfg_solvers import fit_decoupling_field
 from .model import ModelSpec, per_sample_costs
@@ -37,16 +37,11 @@ class FeedbackStrategy:
     slope_x: np.ndarray
     slope_mean: np.ndarray
 
-    def control_rule(self, means: np.ndarray | None = None) -> FeedbackControl:
-        """The feedback as a control rule, reading a mean per common path and step.
-
-        By default the mean is the conditional mean the simulation passes;
-        a table ``means[j, step]`` (one row per common path) replaces it.
-        """
+    def control_rule(self, means: np.ndarray) -> FeedbackControl:
+        """The feedback as a control rule on the means table ``means[j, step]``, a row per path."""
         def fn(step, t, x, live_means):
-            mean = live_means if means is None else means[:, step]
             return (self.intercept[step] + self.slope_x[step] * x
-                    + self.slope_mean[step] * mean[:, None])
+                    + self.slope_mean[step] * means[:, step, None])
 
         return FeedbackControl(fn)
 
@@ -78,8 +73,8 @@ class PlayerSystem:
     controls: np.ndarray    # (n_games, n_players, n_steps)
     costs: np.ndarray       # (n_games, n_players)
     grid: TimeGrid
-    noise: NoiseBundle = field(repr=False, default=None)
-    limit_means: np.ndarray | None = None   # (n_games, n_nodes)
+    noise: NoiseBundle = field(repr=False)
+    limit_means: np.ndarray   # (n_games, n_nodes)
 
     @property
     def flow(self) -> MeasureFlow:
@@ -114,15 +109,8 @@ def limit_mean_path(spec: ModelSpec, strategy: FeedbackStrategy, m0: float,
     return out
 
 
-def _initial_mean(xi0: InitialLaw) -> float:
-    if xi0.kind == "empirical":
-        return float(np.mean(xi0.atoms))
-    return float(xi0.mu)
-
-
 def simulate_nplayer(spec: ModelSpec, strategy: FeedbackStrategy, n_players: int,
-                     grid: TimeGrid, xi0: InitialLaw, seeds, *,
-                     mean_source: str = "empirical") -> PlayerSystem:
+                     grid: TimeGrid, xi0: InitialLaw, seeds) -> PlayerSystem:
     """Play one N-player game per seed under the shared feedback strategy.
 
     The empirical measure over players replaces the population law in the
@@ -130,13 +118,10 @@ def simulate_nplayer(spec: ModelSpec, strategy: FeedbackStrategy, n_players: int
     one common path and one particle per player.  Each seed's noise and
     initial states are drawn as for a one-path bundle of that seed; the games
     are then the paths of one simulation, game g on path g of every array.
-    ``mean_source`` selects the mean the feedback reads: "empirical" (the
-    realized N-player mean) or "limit" (the population-limit mean integrated
-    along the realized common noise, the classic approximate-equilibrium
-    strategy).
+    The feedback reads the population-limit mean integrated along each game's
+    common noise (``limit_means``), the classic approximate-equilibrium
+    strategy.
     """
-    if mean_source not in ("empirical", "limit"):
-        raise SolverError(f"unknown mean source {mean_source!r}")
     bundles = [NoiseBundle(seed=int(s), n_paths=1, n_particles=n_players, grid=grid)
                for s in seeds]
     init_states = np.concatenate([b.initial_states(xi0) for b in bundles])
@@ -144,9 +129,7 @@ def simulate_nplayer(spec: ModelSpec, strategy: FeedbackStrategy, n_players: int
     noise = NoiseBundle.from_arrays(bundles[0].seed, grid,
                                     np.concatenate([b.dW for b in bundles]),
                                     np.concatenate([b.dW_common for b in bundles]))
-    limit_means = None
-    if mean_source == "limit":
-        limit_means = limit_mean_path(spec, strategy, _initial_mean(xi0), noise.dW_common, grid)
+    limit_means = limit_mean_path(spec, strategy, initial_moments(xi0)[0], noise.dW_common, grid)
     ens = simulate_forward(spec, strategy.control_rule(limit_means), noise,
                            init_states=init_states)
     costs = per_sample_costs(spec, ens.states, ens.controls, ens.flow, grid)
@@ -172,8 +155,7 @@ class GapEstimate:
 
 def nash_gap(spec: ModelSpec, strategy: FeedbackStrategy, n_players: int, grid: TimeGrid,
              xi0: InitialLaw, seed: int, *, n_copies: int = 128, n_replicas: int = 24,
-             solver_tol: float = 1e-4, max_iter: int = 60,
-             mean_source: str = "limit") -> GapEstimate:
+             solver_tol: float = 1e-4) -> GapEstimate:
     """Expected unilateral-deviation gain for one player against frozen opponents.
 
     Runs ``n_replicas`` independent N-player games (one common-noise
@@ -188,17 +170,12 @@ def nash_gap(spec: ModelSpec, strategy: FeedbackStrategy, n_players: int, grid: 
     difference (copy 0 reuses player 1's noise and initial state) estimates
     the deviation gain, one independent sample per replica.
 
-    With ``mean_source="limit"`` (default) the strategy feeds back on the
-    population-limit mean along the realized common noise; its mismatch with
-    the realized N-player mean is what the deviation exploits, and the gap
-    shrinks as N grows.  Feeding back on the realized empirical mean
-    ("empirical") makes the gap vanish identically for the affine family
-    (the empirical mean has the same closure as the limit), which is measured
-    but carries no N-trend.
+    The strategy feeds back on the population-limit mean along the realized
+    common noise; its mismatch with the realized N-player mean is what the
+    deviation exploits, and the gap shrinks as N grows.
     """
     games = simulate_nplayer(spec, strategy, n_players, grid, xi0,
-                             [seed + 613 * r for r in range(n_replicas)],
-                             mean_source=mean_source)
+                             [seed + 613 * r for r in range(n_replicas)])
     frozen = games.flow
 
     # fresh copy noise under each replica's common noise; copy 0 of every
@@ -210,14 +187,13 @@ def nash_gap(spec: ModelSpec, strategy: FeedbackStrategy, n_players: int, grid: 
     init_states[:, 0] = games.states[:, 0, 0]
     dev_noise = NoiseBundle.from_arrays(dev_seed, grid, dW, games.noise.dW_common)
 
-    strat_rule = strategy.control_rule(games.limit_means if mean_source == "limit" else None)
-    strat_ens = simulate_forward(spec, strat_rule, dev_noise,
+    strat_ens = simulate_forward(spec, strategy.control_rule(games.limit_means), dev_noise,
                                  init_states=init_states, frozen_flow=frozen)
     cost_strat = per_sample_costs(spec, strat_ens.states, strat_ens.controls, frozen, grid)
 
     try:
         dev = picard_solve(spec, dev_noise, terminal_from_cost(spec), init_states=init_states,
-                           frozen_flow=frozen, tol=solver_tol, max_iter=max_iter)
+                           frozen_flow=frozen, tol=solver_tol)
     except SolverError:
         return GapEstimate(gap=float("nan"), stderr=float("nan"),
                            cost_strategy=float(np.mean(cost_strat)),
@@ -261,7 +237,7 @@ def population_cost_convergence(spec: ModelSpec, strategy: FeedbackStrategy, n_p
     error as N grows.
     """
     seeds = [int(seed) for seed in seeds]
-    games = simulate_nplayer(spec, strategy, n_players, grid, xi0, seeds, mean_source="limit")
+    games = simulate_nplayer(spec, strategy, n_players, grid, xi0, seeds)
     diffs = []
     # the proxy runs one seed at a time: a batch would hold every seed's
     # ``proxy_particles``-strong population at once

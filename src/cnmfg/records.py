@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,21 +55,27 @@ def _ints(value) -> list:
     return [int(v) for v in _list(value)]
 
 
+def _real(value) -> float:
+    if not math.isfinite(value := float(value)):
+        raise ValueError("not a finite number")
+    return value
+
+
 _SCHEMA = {
     "preset": _text,
     # parameter names and values are checked by ``get_preset``
     "preset_params": lambda v: dict(_typed(dict, "an object")(v)),
-    "grid": {"horizon": float, "n_steps": int},
+    "grid": {"horizon": _real, "n_steps": int},
     "ensemble": {"n_common": int, "n_particles": int},
-    "initial_law": {"kind": _text, "mu": float, "std": float,
-                    "atoms": lambda v: tuple(float(a) for a in _list(v))},
+    "initial_law": {"kind": _text, "mu": _real, "std": _real,
+                    "atoms": lambda v: tuple(_real(a) for a in _list(v))},
     "solver": {"method": _choice("continuation", "stitched", "given-m", "direct"),
-               "tol": lambda v: None if v is None else float(v), "max_iter": int,
-               "eta0": float, "interval_fraction": float, "global_passes": int},
+               "tol": lambda v: None if v is None else _real(v), "max_iter": int,
+               "eta0": _real, "interval_fraction": _real, "global_passes": int},
     "seed": int,
     "output_dir": _text,
     "nash": {"player_counts": _ints, "seeds": _ints, "n_replicas": int, "n_copies": int},
-    "frozen_flow": {"kind": _choice("dirac", "zero_control"), "value": float},
+    "frozen_flow": {"kind": _choice("dirac", "zero_control"), "value": _real},
     "oracle_levels": int,
 }
 
@@ -147,6 +154,16 @@ class RunConfig:
             raise ConfigError("eta0 must lie in (0, 1]", field="solver.eta0")
         if not 0 < self.interval_fraction <= 1:
             raise ConfigError("interval fraction must lie in (0, 1]", field="solver.interval_fraction")
+        # seeds key the noise; Nash standard errors (ddof=1) need two replicas and two seeds
+        for key, what, value, least in (
+                ("seed", "the seed", self.seed, 0),
+                ("nash.player_counts", "each player count", min(self.player_counts, default=0), 1),
+                ("nash.seeds", "the number of seeds", len(self.seeds), 2),
+                ("nash.seeds", "every seed", min(self.seeds, default=0), 0),
+                ("nash.n_replicas", "n_replicas", self.n_replicas, 2),
+                ("nash.n_copies", "n_copies", self.n_copies, 1)):
+            if value < least:
+                raise ConfigError(f"{what} must be at least {least}", field=key)
 
     def to_dict(self) -> dict:
         out = {}

@@ -8,8 +8,8 @@ from cnmfg.bsde import (SolutionBundle, control_rms, first_order_residual, picar
                         solution_distance, solution_norm, solve_bsde_given_control,
                         terminal_from_cost)
 from cnmfg.errors import SolverError
-from cnmfg.forward_sim import (InitialLaw, NoiseBundle, OpenLoopControl, TimeGrid,
-                               simulate_forward)
+from cnmfg.forward_sim import (InitialLaw, NoiseBundle, OpenLoopControl, ParticleEnsemble,
+                               TimeGrid, simulate_forward)
 from cnmfg.measures import MeasureFlow, constant_flow
 from cnmfg.lq_oracle import oracle_solution, solve_riccati
 from cnmfg.model import get_preset, hamiltonian_dx
@@ -81,7 +81,8 @@ def test_lq_backward_matches_affine_representation():
     noise = NoiseBundle(seed=3, n_paths=32, n_particles=256, grid=grid)
     xi0 = InitialLaw(kind="normal", mu=1.0, std=0.5)
     ob = oracle_solution(preset.lq_params, noise, xi0)
-    back = solve_bsde_given_control(preset.spec, ob.ensemble, ob.flow,
+    ensemble = ParticleEnsemble(states=ob.states, controls=ob.controls, grid=ob.grid)
+    back = solve_bsde_given_control(preset.spec, ensemble, ob.flow,
                                     terminal_from_cost(preset.spec), noise)
     # regression of the estimated adjoint on the affine representation
     for step in (0, 10, 25, 40):
@@ -479,8 +480,7 @@ def test_frozen_flow_solve_builds_its_design_once(monkeypatch):
     spec, grid = preset.spec, TimeGrid(1.0, 25)
     xi0 = InitialLaw(kind="normal", mu=1.0, std=0.5)
     strategy = FeedbackStrategy.from_riccati(solve_riccati(preset.lq_params, grid))
-    flow = simulate_nplayer(spec, strategy, 4, grid, xi0, [11 + 613 * r for r in range(12)],
-                            mean_source="limit").flow
+    flow = simulate_nplayer(spec, strategy, 4, grid, xi0, [11 + 613 * r for r in range(12)]).flow
     noise = NoiseBundle(seed=5, n_paths=12, n_particles=32, grid=grid)
     built = _counting_designs(monkeypatch)
     bundle = picard_solve(spec, noise, terminal_from_cost(spec), xi0=xi0, frozen_flow=flow,

@@ -84,10 +84,27 @@ LAW = {"kind": "normal", "mu": 1.0, "std": 0.5}
     ("solve", {"solver": {"method": "direct", "max_iter": 0}}, "solver.max_iter"),
     ("solve", {"solver": {"method": "direct", "max_iter": -1}}, "solver.max_iter"),
     ("solve", {"solver": {"method": "stitched", "global_passes": 0}}, "solver.global_passes"),
+    # values that leave a Nash estimate empty or its standard errors undefined
+    ("nash", {"nash": {"player_counts": []}}, "nash.player_counts"),
+    ("nash", {"nash": {"player_counts": [0]}}, "nash.player_counts"),
+    ("nash", {"nash": {"player_counts": [-2]}}, "nash.player_counts"),
+    ("nash", {"nash": {"n_replicas": 0}}, "nash.n_replicas"),
+    ("nash", {"nash": {"n_replicas": 1}}, "nash.n_replicas"),
+    ("nash", {"nash": {"n_copies": 0}}, "nash.n_copies"),
+    ("nash", {"nash": {"seeds": [0]}}, "nash.seeds"),
+    ("nash", {"nash": {"seeds": [0, -50]}}, "nash.seeds"),
+    # a negative seed, in the config or as the override, and non-finite numbers
+    ("solve", {"seed": -1}, "seed"),
+    ("solve --seed -1", {}, "seed"),
+    ("solve", {"grid": {"horizon": float("nan"), "n_steps": 20}}, "grid.horizon"),
+    ("solve", {"grid": {"horizon": float("inf"), "n_steps": 20}}, "grid.horizon"),
+    ("solve", {"solver": {"method": "direct", "tol": float("nan")}}, "solver.tol"),
+    ("solve", {"initial_law": dict(LAW, mu=float("-inf"))}, "initial_law.mu"),
+    ("solve", {"preset_params": {"b1": float("nan")}}, "preset_params"),
 ])
 def test_malformed_values_are_config_errors(tmp_path, capsys, command, overrides, field):
     path = write_config(tmp_path / "cfg.json", **overrides)
-    assert main([command, "--config", str(path)]) == 2
+    assert main([*command.split(), "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"(field: {field})" in err
     assert "Traceback" not in err

@@ -7,7 +7,7 @@ from cnmfg import forward_sim
 from cnmfg.errors import SimulationError
 from cnmfg.forward_sim import (FeedbackControl, InitialLaw, NoiseBundle, OpenLoopControl,
                                TimeGrid, simulate_forward)
-from cnmfg.measures import MeasureFlow, constant_flow
+from cnmfg.measures import EmpiricalMeasure, MeasureFlow, constant_flow
 from cnmfg.model import get_preset, hamiltonian_dx
 
 from helpers import assert_steps_contiguous, simple_spec
@@ -196,7 +196,7 @@ def test_one_callable_serves_live_frozen_and_per_path_laws():
         batched_b = spec.drift.values(t, x, u, law)
         batched_hx = hamiltonian_dx(spec, t, x, p, q, qt, u, law)
         for j in range(3):
-            m = flow.measure(n, j)
+            m = EmpiricalMeasure(law.atoms[j])
             assert np.array_equal(batched_b[j], spec.drift.values(t, x[j], u[j], m))
             assert np.array_equal(batched_hx[j],
                                   hamiltonian_dx(spec, t, x[j], p[j], q[j], qt[j], u[j], m))

@@ -75,13 +75,9 @@ def test_w2_translation_invariance():
         assert abs(wasserstein2(a.translated(shift), b.translated(shift)) - wasserstein2(a, b)) < 1e-12
 
 
-def test_w2_rational_refinement_and_incompatible_supports():
-    # {0,2} vs {1}: refine the singleton to two atoms
-    assert wasserstein2(EmpiricalMeasure([0.0, 2.0]), EmpiricalMeasure([1.0])) == pytest.approx(1.0)
-    big1 = EmpiricalMeasure(np.zeros(9973))
-    big2 = EmpiricalMeasure(np.zeros(9967))
-    with pytest.raises(MeasureError, match="incompatible supports"):
-        wasserstein2(big1, big2)
+def test_w2_rejects_unequal_atom_counts():
+    with pytest.raises(MeasureError, match="atom counts 2 and 1 differ"):
+        wasserstein2(EmpiricalMeasure([0.0, 2.0]), EmpiricalMeasure([1.0]))
 
 
 def test_measure_invariants():
@@ -100,31 +96,26 @@ def test_conditional_law_examples():
     spec = simple_spec()
     ens = simulate_forward(spec, OpenLoopControl(np.zeros((2, 2, 4))), noise,
                            InitialLaw(kind="constant", mu=0.0))
-    m = ens.flow.measure(2, 1)
+    m = EmpiricalMeasure(ens.flow.at(2).atoms[1])
     assert np.all(m.atoms == 0.0)
 
     ens.states[0, :, 3] = [1.0, 3.0]
-    m = ens.flow.measure(3, 0)
+    m = EmpiricalMeasure(ens.flow.at(3).atoms[0])
     assert m.mean == 2.0
     assert second_moment(m) == 5.0
 
 
-def test_flow_rejects_nodes_and_paths_out_of_range():
+def test_flow_rejects_nodes_out_of_range():
     grid = TimeGrid(1.0, 3)
     atoms = np.arange(2 * 3 * 4, dtype=float).reshape(2, 3, 4)
     flow = MeasureFlow(atoms=atoms, grid=grid)
-    assert np.array_equal(flow.measure(3, 1).atoms, atoms[1, :, 3])
+    assert np.array_equal(flow.at(3).atoms, atoms[:, :, 3])
     assert np.array_equal(flow.at(0).atoms, atoms[:, :, 0])
     # a negative node must not wrap to the last one, a node past the end must
     # not surface as a raw IndexError
     for n in (-1, 4, 9):
         with pytest.raises(MeasureError, match="node"):
             flow.at(n)
-        with pytest.raises(MeasureError, match="node"):
-            flow.measure(n, 0)
-    for j in (-1, 2):
-        with pytest.raises(MeasureError, match="path"):
-            flow.measure(0, j)
 
 
 def test_node_distance_is_the_largest_per_measure_w2():
@@ -132,7 +123,8 @@ def test_node_distance_is_the_largest_per_measure_w2():
     rng = np.random.default_rng(4)
     fa = MeasureFlow(atoms=rng.normal(size=(3, 5, 4)), grid=grid)
     fb = MeasureFlow(atoms=rng.normal(size=(3, 5, 4)), grid=grid)
-    expected = max(wasserstein2(fa.measure(n, j), fb.measure(n, j))
+    expected = max(wasserstein2(EmpiricalMeasure(fa.at(n).atoms[j]),
+                                EmpiricalMeasure(fb.at(n).atoms[j]))
                    for n in range(4) for j in range(3))
     assert fa.node_distance(fb) == pytest.approx(expected, rel=1e-12)
     assert fb.node_distance(fa) == pytest.approx(expected, rel=1e-12)
@@ -152,10 +144,9 @@ def test_conditional_law_dirac_with_zero_idiosyncratic_noise():
     for j in range(3):
         x = 1.0
         for n in range(20):
-            m = ens.flow.measure(n, j)
-            assert np.max(np.abs(m.atoms - x)) < 1e-12
+            assert np.max(np.abs(ens.flow.at(n).atoms[j] - x)) < 1e-12
             x = x + (0.3 + 0.5 * x) * grid.dt + 0.4 * noise.dW_common[j, n]
-        assert np.max(np.abs(ens.flow.measure(20, j).atoms - x)) < 1e-12
+        assert np.max(np.abs(ens.flow.at(20).atoms[j] - x)) < 1e-12
 
 
 def test_coupling_marginals_and_costs():
@@ -185,5 +176,6 @@ def test_mean_square_gap_dominates_w2():
     fa = MeasureFlow(atoms=a, grid=grid)
     fb = MeasureFlow(atoms=b, grid=grid)
     for n in range(6):
-        w2_sq = [wasserstein2(fa.measure(n, j), fb.measure(n, j)) ** 2 for j in range(6)]
+        w2_sq = [wasserstein2(EmpiricalMeasure(fa.at(n).atoms[j]),
+                              EmpiricalMeasure(fb.at(n).atoms[j])) ** 2 for j in range(6)]
         assert np.mean(w2_sq) <= np.mean((a[:, :, n] - b[:, :, n]) ** 2) + 1e-12

@@ -81,7 +81,7 @@ def test_single_player_zero_coupling_reduces_to_single_agent_cost():
 def test_limit_mean_path_tracks_empirical_mean_for_large_n():
     preset = get_preset("lq")
     strat = riccati_strategy(preset)
-    sys = simulate_nplayer(preset.spec, strat, 4096, GRID, XI0, seeds=[13], mean_source="limit")
+    sys = simulate_nplayer(preset.spec, strat, 4096, GRID, XI0, seeds=[13])
     ode = sys.limit_means[0]
     emp = sys.states[0].mean(axis=0)
     assert np.max(np.abs(emp - ode)) < 0.05
@@ -110,20 +110,17 @@ def test_gap_positive_at_small_n_with_strong_coupling():
     # a genuine equilibrium gap without the regression solver
     from cnmfg.forward_sim import FeedbackControl
 
-    games = simulate_nplayer(firm.spec, strat, 2, GRID, XI0, seeds=[3 + 613 * r for r in range(24)],
-                             mean_source="limit")
+    games = simulate_nplayer(firm.spec, strat, 2, GRID, XI0, seeds=[3 + 613 * r for r in range(24)])
     frozen = games.flow
     seeded = NoiseBundle(seed=3 + 10_000_019, n_paths=24, n_particles=2, grid=GRID)
     dW, init = seeded.dW.copy(order="K"), seeded.initial_states(XI0)
     dW[:, 0] = games.noise.dW[:, 0]
     init[:, 0] = games.states[:, 0, 0]
     dev_noise = NoiseBundle.from_arrays(seeded.seed, GRID, dW, games.noise.dW_common)
-    limit_matrix = games.limit_means
-    base_rule = strat.control_rule()
+    base_rule = strat.control_rule(games.limit_means)
 
     def leg(scale):
-        rule = FeedbackControl(lambda step, t, x, means:
-                               scale * base_rule.fn(step, t, x, limit_matrix[:, step]))
+        rule = FeedbackControl(lambda step, t, x, means: scale * base_rule.fn(step, t, x, means))
         ens = simulate_forward(firm.spec, rule, dev_noise, init_states=init, frozen_flow=frozen)
         return per_sample_costs(firm.spec, ens.states, ens.controls, frozen, GRID)[:, 0]
 
@@ -167,27 +164,20 @@ def test_batched_games_equal_single_games():
     # tanh_drift reads its measure argument through a nonlinear coefficient
     for spec in (lq.spec, get_preset("tanh_drift").spec):
         for n_players in (1, 6):
-            for source in ("empirical", "limit"):
-                batch = simulate_nplayer(spec, strat, n_players, SHORT, XI0, seeds,
-                                         mean_source=source)
-                assert batch.states.shape == (3, n_players, 21)
-                assert batch.costs.shape == (3, n_players)
-                for g, seed in enumerate(seeds):
-                    alone = simulate_nplayer(spec, strat, n_players, SHORT, XI0, [seed],
-                                             mean_source=source)
-                    for name in ("states", "controls", "costs"):
-                        assert np.array_equal(getattr(batch, name)[g], getattr(alone, name)[0])
-                    if source == "limit":
-                        assert np.array_equal(batch.limit_means[g], alone.limit_means[0])
-                    else:
-                        assert batch.limit_means is None and alone.limit_means is None
+            batch = simulate_nplayer(spec, strat, n_players, SHORT, XI0, seeds)
+            assert batch.states.shape == (3, n_players, 21)
+            assert batch.costs.shape == (3, n_players)
+            for g, seed in enumerate(seeds):
+                alone = simulate_nplayer(spec, strat, n_players, SHORT, XI0, [seed])
+                for name in ("states", "controls", "costs", "limit_means"):
+                    assert np.array_equal(getattr(batch, name)[g], getattr(alone, name)[0])
 
 
 def _reference_nash_gap(spec, strategy, n_players, grid, xi0, seed, *, n_copies, n_replicas,
-                        solver_tol, max_iter=60, mean_source="limit"):
+                        solver_tol, max_iter=60):
     """The estimator with one game played per replica."""
-    runs = [simulate_nplayer(spec, strategy, n_players, grid, xi0, [seed + 613 * r],
-                             mean_source=mean_source) for r in range(n_replicas)]
+    runs = [simulate_nplayer(spec, strategy, n_players, grid, xi0, [seed + 613 * r])
+            for r in range(n_replicas)]
     frozen = MeasureFlow(atoms=np.concatenate([run.states for run in runs]), grid=grid)
     dev_seed = seed + 10_000_019
     seeded = NoiseBundle(seed=dev_seed, n_paths=n_replicas, n_particles=n_copies, grid=grid)
@@ -197,8 +187,7 @@ def _reference_nash_gap(spec, strategy, n_players, grid, xi0, seed, *, n_copies,
         init_states[r, 0] = run.states[0, 0, 0]
     dev_noise = NoiseBundle.from_arrays(
         dev_seed, grid, dW, np.concatenate([run.noise.dW_common for run in runs], axis=0))
-    strat_rule = strategy.control_rule(
-        np.concatenate([run.limit_means for run in runs]) if mean_source == "limit" else None)
+    strat_rule = strategy.control_rule(np.concatenate([run.limit_means for run in runs]))
     strat_ens = simulate_forward(spec, strat_rule, dev_noise,
                                  init_states=init_states, frozen_flow=frozen)
     cost_strat = per_sample_costs(spec, strat_ens.states, strat_ens.controls, frozen, grid)
@@ -225,7 +214,7 @@ def _reference_population_cost_convergence(spec, strategy, n_players, grid, xi0,
     """The paired proxy comparison with one game played per seed."""
     diffs = []
     for seed in seeds:
-        run = simulate_nplayer(spec, strategy, n_players, grid, xi0, [seed], mean_source="limit")
+        run = simulate_nplayer(spec, strategy, n_players, grid, xi0, [seed])
         big_seed = seed + 50_000_017
         dW = NoiseBundle(seed=big_seed, n_paths=1, n_particles=proxy_particles,
                          grid=grid).dW.copy(order="K")
@@ -246,12 +235,11 @@ def test_batched_estimators_equal_per_replica_reference():
     preset = get_preset("lq")
     strat = FeedbackStrategy.from_riccati(solve_riccati(preset.lq_params, SHORT))
     for n_players in (1, 4):
-        for source in ("limit", "empirical"):
-            kw = dict(n_copies=16, n_replicas=8, solver_tol=1e-3, mean_source=source)
-            got = nash_gap(preset.spec, strat, n_players, SHORT, XI0, 21, **kw)
-            want = _reference_nash_gap(preset.spec, strat, n_players, SHORT, XI0, 21, **kw)
-            assert not got.inconclusive
-            assert got.to_dict() == want.to_dict()
+        kw = dict(n_copies=16, n_replicas=8, solver_tol=1e-3)
+        got = nash_gap(preset.spec, strat, n_players, SHORT, XI0, 21, **kw)
+        want = _reference_nash_gap(preset.spec, strat, n_players, SHORT, XI0, 21, **kw)
+        assert not got.inconclusive
+        assert got.to_dict() == want.to_dict()
         got = population_cost_convergence(preset.spec, strat, n_players, SHORT, XI0, range(30, 34),
                                           proxy_particles=64)
         want = _reference_population_cost_convergence(preset.spec, strat, n_players, SHORT, XI0,
