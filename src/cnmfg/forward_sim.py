@@ -16,7 +16,9 @@ law is self-consistent by construction.
 A simulation covers the whole grid of its noise bundle: step n reads node n
 of the grid, the increments and any frozen flow, one time index throughout.
 A stretch of the horizon is simulated on ``NoiseBundle.window``, views on the
-increments of those steps on a grid with the parent's step and nodes.
+increments of those steps on a grid with the parent's step and nodes.  The
+whole horizon on a coarser grid is ``NoiseBundle.coarsened``, whose increments
+are sums of runs of the fine ones.
 """
 
 from __future__ import annotations
@@ -153,6 +155,20 @@ class NoiseBundle:
         """The increments of steps n_lo..n_hi - 1 as views, on ``grid.subgrid(n_lo, n_hi)``."""
         return NoiseBundle.from_arrays(self.seed, self.grid.subgrid(n_lo, n_hi),
                                        self.dW[:, :, n_lo:n_hi], self.dW_common[:, n_lo:n_hi])
+
+    def coarsened(self, f: int) -> "NoiseBundle":
+        """The increments summed over each run of ``f`` steps, on a grid of n / f steps.
+
+        Brownian increments aggregate exactly, and the seed is kept, so the
+        initial-state draws are the same.
+        """
+        n, m, k = self.grid.n_steps, self.n_paths, self.n_particles
+        if f < 1 or n % f:
+            raise SimulationError(f"a {n}-step grid has no coarsening by {f}")
+        grid = TimeGrid(self.grid.horizon, n // f, t0=self.grid.t0)
+        dw = self.dW.transpose(2, 0, 1).reshape(n // f, f, m, k).sum(axis=1).transpose(1, 2, 0)
+        dwc = self.dW_common.reshape(m, n // f, f).sum(axis=2)
+        return NoiseBundle.from_arrays(self.seed, grid, dw, dwc)
 
     def initial_states(self, law: InitialLaw) -> np.ndarray:
         """Initial states (paths, particles) drawn from ``law`` once per bundle

@@ -11,7 +11,10 @@ solvers implement numerically:
   needs (a forcing term).  A stage before the last only has to stay near the
   continuation path: it is accepted at a loose outer distance, on whatever
   inner tolerance the forcing term gave.  The last stage is accepted only on
-  a solve at the full inner tolerance.
+  a solve at the full inner tolerance.  The walk runs on a time grid up to
+  four times coarser, with the same Brownian paths; its gamma = 1 control,
+  held over the fine steps, starts one direct solve on the fine grid.  If
+  either fails, the walk is run again on the fine grid.
 
 * ``solve_stitched`` partitions the horizon into short intervals; on each
   interval the map control -> (population under that control) -> best response
@@ -48,6 +51,8 @@ from .model import ModelSpec, hamiltonian_dx
 _FORCING = 0.05
 # outer distance, per unit of tol, at which a stage before the last is accepted
 _PATH_TOL = 40.0
+# largest number of fine time steps that one step of the continuation walk spans
+_MAX_COARSENING = 4
 
 
 def solve_scaled_fbsde(spec: ModelSpec, gamma: float, xi0: InitialLaw,
@@ -105,10 +110,17 @@ class ContinuationStep:
 
 @dataclass
 class ContinuationState:
+    """A continuation walk: its coupling scale, step size, latest bundle and stages."""
+
     gamma: float
     eta: float
-    bundle: SolutionBundle
+    bundle: SolutionBundle      # on the grid the walk runs on
     steps: list = field(default_factory=list)
+
+    @property
+    def walk_steps(self) -> int:
+        """Time steps of the grid that the stages were walked on."""
+        return self.bundle.grid.n_steps
 
     def schedule(self) -> list:
         return [(s.gamma, s.eta, s.iterations, s.ratio) for s in self.steps]
@@ -121,19 +133,37 @@ def _observed_ratio(distances: list[float], floor: float) -> float:
     return float(max(ratios))
 
 
+def _coarsening(n_steps: int) -> int:
+    """The largest factor up to ``_MAX_COARSENING`` that divides ``n_steps``; 1 if none does."""
+    return next((f for f in range(_MAX_COARSENING, 1, -1) if n_steps % f == 0), 1)
+
+
 def solve_continuation(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle,
                        *, eta0: float = 0.25, tol: float = 1e-4, max_picard: int = 30,
                        inner_tol: float | None = None, max_iter_inner: int = 60
                        ) -> tuple[SolutionBundle, ContinuationState]:
-    """Walk the coupling scale from 0 to 1 by contraction steps.
+    """Walk the coupling scale from 0 to 1 on a coarse grid, then solve once on the fine one.
 
-    Each advance gamma -> gamma + eta iterates: assemble inputs eta * (model
-    coefficients along the current iterate), solve the gamma-scaled system
-    with those inputs warm-started from the iterate, measure the solution-norm
-    distance.  eta is halved when the observed ratio reaches 0.9 (and the step
-    retried), doubled back toward eta0 after two clean steps, and the solver
-    stalls out below eta = 1e-3.  An inner SolverError, SimulationError or
-    ModelError fails the step too.
+    The walk runs on ``noise.coarsened(f)``, with f the largest divisor of the
+    step count up to ``_MAX_COARSENING`` (on the fine grid if there is none).
+    Its gamma = 1 control, held over each run of f fine steps, starts one
+    direct solve of the full system on ``noise`` at ``inner_tol``; that fine
+    finish is the returned bundle, and the returned state is the walk's, its
+    bundle on the walk's grid.  If the coarse walk or the fine finish raises a
+    SolverError, SimulationError or ModelError, the walk is run again on the
+    fine grid from gamma = 0, and its bundle is returned.  When that walk
+    fails too, its SolverError's history gains ``coarse_failure``, the coarse
+    attempt's message.  A coarse walk need only follow the path (intermediate
+    stages are loose anyway); solving coarse and correcting fine is nested
+    iteration (Brandt, Math. Comp. 31, 1977).
+
+    Each advance gamma -> gamma + eta of a walk iterates: assemble inputs eta
+    * (model coefficients along the current iterate), solve the gamma-scaled
+    system with those inputs warm-started from the iterate, measure the
+    solution-norm distance.  eta is halved when the observed ratio reaches 0.9
+    (and the step retried), doubled back toward eta0 after two clean steps,
+    and the solver stalls out below eta = 1e-3.  An inner SolverError,
+    SimulationError or ModelError fails the step too.
 
     The inner solves are inexact (a forcing-term rule, as in inexact Newton
     methods): outer iteration k solves to max(inner_tol, _FORCING * d_{k-1}),
@@ -143,10 +173,34 @@ def solve_continuation(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle,
     least two outer iterations have run and the distance is within
     ``_PATH_TOL * tol``, whatever the inner tolerance.  The last stage
     (gamma + eta = 1) is accepted only at distance ``tol`` on a solve at
-    ``inner_tol``, so the returned bundle is solved to ``inner_tol``.
-    ``ContinuationStep.sweeps`` holds the inner sweeps of each iteration.
+    ``inner_tol``.  ``ContinuationStep.sweeps`` holds the inner sweeps of
+    each iteration.
     """
     inner_tol = inner_tol if inner_tol is not None else max(tol / 5.0, 1e-7)
+    walk = (spec, xi0, eta0, tol, max_picard, inner_tol, max_iter_inner)
+    f = _coarsening(noise.grid.n_steps)
+    coarse_failure = None
+    if f > 1:
+        try:
+            state = _walk(noise.coarsened(f), *walk)
+            u0 = np.repeat(state.bundle.controls.transpose(2, 0, 1), f, axis=0).transpose(1, 2, 0)
+            bundle = solve_scaled_fbsde(spec, 1.0, xi0, None, noise, u0=u0, tol=inner_tol,
+                                        max_iter=max_iter_inner)
+            return bundle, state
+        except (SolverError, SimulationError, ModelError) as err:
+            coarse_failure = err
+    try:
+        state = _walk(noise, *walk)
+    except SolverError as err:
+        if coarse_failure is not None:
+            err.history["coarse_failure"] = str(coarse_failure)
+        raise
+    return state.bundle, state
+
+
+def _walk(noise: NoiseBundle, spec: ModelSpec, xi0: InitialLaw, eta0: float, tol: float,
+          max_picard: int, inner_tol: float, max_iter_inner: int) -> ContinuationState:
+    """The continuation walk from gamma = 0 to 1 on the grid of ``noise``."""
     bundle = solve_scaled_fbsde(spec, 0.0, xi0, None, noise, tol=inner_tol,
                                 max_iter=max_iter_inner)
     state = ContinuationState(gamma=0.0, eta=eta0, bundle=bundle)
@@ -204,7 +258,7 @@ def solve_continuation(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle,
                                   history={**getattr(failure, "history", {}),
                                            "schedule": state.schedule(),
                                            "last_distances": distances}) from failure
-    return state.bundle, state
+    return state
 
 
 # ---------------------------------------------------------------------------

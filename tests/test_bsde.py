@@ -156,6 +156,18 @@ def test_solution_norm_and_distance():
                                 q=lam * q, q_tilde=lam * qt, flow=flow, grid=grid)
         assert solution_norm(scaled) == pytest.approx(lam * solution_norm(bundle), rel=1e-12)
     assert solution_distance(bundle, zero) == pytest.approx(solution_norm(bundle), rel=1e-12)
+    # against the whole-array formula: the node-by-node sums change rounding only
+    rng = np.random.default_rng(4)
+    pair = [SolutionBundle(states=rng.normal(size=(3, 5, 7)), controls=rng.normal(size=(3, 5, 6)),
+                           p=rng.normal(size=(3, 5, 7)), q=rng.normal(size=(3, 5, 6)),
+                           q_tilde=rng.normal(size=(3, 5, 6)), flow=flow, grid=TimeGrid(1.0, 6))
+            for _ in range(2)]
+    b1, b2 = pair
+    sup = np.max((b1.states - b2.states) ** 2 + (b1.p - b2.p) ** 2, axis=2)
+    running = np.sum((b1.controls - b2.controls) ** 2 + (b1.q - b2.q) ** 2
+                     + (b1.q_tilde - b2.q_tilde) ** 2) / 6
+    assert solution_distance(b1, b2) == pytest.approx(np.sqrt(np.mean(sup) + running / sup.size),
+                                                      rel=1e-12)
 
     other = SolutionBundle(states=np.zeros((1, 2, 4)), controls=np.zeros((1, 2, 3)),
                            p=np.zeros((1, 2, 4)), q=np.zeros((1, 2, 3)),

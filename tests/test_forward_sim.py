@@ -288,6 +288,21 @@ def test_noise_bundle_from_arrays():
         NoiseBundle.from_arrays(13, grid, dW, dwc[:, :5])
 
 
+def test_coarsened_noise_sums_runs_of_fine_increments():
+    seeded = NoiseBundle(seed=16, n_paths=3, n_particles=5, grid=TimeGrid(2.0, 12))
+    law = InitialLaw(kind="normal", mu=1.0, std=0.5)
+    for f in (1, 2, 3, 4):
+        coarse = seeded.coarsened(f)
+        assert coarse.grid == TimeGrid(2.0, 12 // f)
+        assert_steps_contiguous(coarse.dW)
+        # runs of f increments summed in order: the same Brownian paths
+        assert np.array_equal(coarse.dW, sum(seeded.dW[:, :, i::f] for i in range(f)))
+        assert np.array_equal(coarse.dW_common, sum(seeded.dW_common[:, i::f] for i in range(f)))
+        assert np.array_equal(coarse.initial_states(law), seeded.initial_states(law))
+    with pytest.raises(SimulationError, match="no coarsening"):
+        seeded.coarsened(5)
+
+
 def test_initial_states_are_drawn_once_per_bundle_and_law(monkeypatch):
     grid = TimeGrid(1.0, 10)
     laws = (InitialLaw(kind="normal", mu=1.0, std=0.5),
@@ -318,7 +333,7 @@ def test_noise_is_read_only():
     seeded = NoiseBundle(seed=14, n_paths=3, n_particles=4, grid=grid)
     dW, dwc = seeded.dW.copy(order="K"), seeded.dW_common.copy()
     given = NoiseBundle.from_arrays(14, grid, dW, dwc)
-    for bundle in (seeded, given, seeded.window(2, 6), given.window(0, 5)):
+    for bundle in (seeded, given, seeded.window(2, 6), given.window(0, 5), seeded.coarsened(2)):
         for array in (bundle.dW, bundle.dW_common):
             with pytest.raises(ValueError):
                 array[0] = 0.0

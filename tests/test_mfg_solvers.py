@@ -88,48 +88,108 @@ def test_continuation_inner_solves_are_inexact_until_accepted(monkeypatch):
     # each outer iteration solves only as tightly as the previous outer
     # distance asks, the first of an attempt to one sweep; a stage before the
     # last is accepted after two iterations at distance 40 tol, whatever its
-    # inner tolerance, and the last stage only on a solve at inner_tol
+    # inner tolerance, and the last stage only on a solve at inner_tol.  The
+    # 30-step grid is walked on 10 steps, and one direct solve at inner_tol
+    # on the 30 steps finishes it
     preset = get_preset("lq")
     noise = small_noise(m=16, k=48, n=30)
     tol = 2e-4
     inner_tol = max(tol / 5.0, 1e-7)
-    calls = []               # (tol, sweeps) of every inner solve
+    calls = []               # (gamma, tol, sweeps, grid steps, u0 steps) of every inner solve
     solve = mfg_solvers.solve_scaled_fbsde
 
-    def recorded(*args, tol, **kwargs):
-        bundle = solve(*args, tol=tol, **kwargs)
-        calls.append((tol, len(bundle.residual_history)))
+    def recorded(spec, gamma, xi0, inputs, noise, *, tol, u0=None, **kwargs):
+        bundle = solve(spec, gamma, xi0, inputs, noise, tol=tol, u0=u0, **kwargs)
+        calls.append((gamma, tol, len(bundle.residual_history), noise.grid.n_steps,
+                      None if u0 is None else u0.shape[2]))
         return bundle
 
     monkeypatch.setattr(mfg_solvers, "solve_scaled_fbsde", recorded)
     bundle, state = solve_continuation(preset.spec, XI0, noise, tol=tol)
     assert state.gamma == pytest.approx(1.0)
-    assert calls[0][0] == inner_tol            # the gamma = 0 start
-    outer = calls[1:]
-    assert all(t >= inner_tol for t, _ in outer)
+    assert state.walk_steps == 10
+    assert calls[0][:2] == (0.0, inner_tol)    # the gamma = 0 start
+    walk, finish = calls[1:-1], calls[-1]
+    assert all(c[3] == 10 for c in calls[:-1])
+    assert all(t >= inner_tol for _, t, *_ in walk)
     # every attempt was accepted here, so the stages cover the outer solves
-    assert len(outer) == sum(step.iterations for step in state.steps)
+    assert len(walk) == sum(step.iterations for step in state.steps)
     first = 0
     for step in state.steps:
-        attempt = outer[first:first + step.iterations]
+        attempt = walk[first:first + step.iterations]
         first += step.iterations
-        assert attempt[0] == (math.inf, 1)
-        assert all(t < math.inf for t, _ in attempt[1:])
-        assert step.sweeps == [sweeps for _, sweeps in attempt]
+        assert attempt[0][1:3] == (math.inf, 1)
+        assert all(t < math.inf for _, t, *_ in attempt[1:])
+        assert step.sweeps == [sweeps for _, _, sweeps, *_ in attempt]
     for step in state.steps[:-1]:
         assert step.iterations >= 2
         assert step.distances[-1] <= 40 * tol
-    assert attempt[-1][0] == inner_tol        # the last stage's attempt
+    assert attempt[-1][1] == inner_tol        # the last stage's attempt
     assert state.steps[-1].distances[-1] <= tol
+    assert state.bundle.residual_history[-1] <= inner_tol
+    # exactly one fine finish follows the walk
+    assert finish[0] == 1.0 and finish[1] == inner_tol and finish[3:] == (30, 30)
     assert bundle.residual_history[-1] <= inner_tol
-    # 43 sweeps; 53 when every stage ends on an inner_tol solve, 121 when
-    # every inner solve runs to inner_tol
-    assert sum(sweeps for _, sweeps in calls) <= 45
+    assert bundle.diagnostics["iterations"] == finish[2]
+    # 42 sweeps on the 10-step walk, each a third of a fine one, and 7 on the
+    # fine finish
+    assert sum(sweeps for _, _, sweeps, *_ in calls[:-1]) <= 44
+    assert finish[2] <= 8
 
     # a first distance within 40 tol does not end a stage: it has no ratio yet
     _, state = solve_continuation(simple_spec(b0=0.1), XI0, small_noise(m=4, k=8, n=5), tol=1e-3)
     assert state.steps[0].distances[0] <= 40 * 1e-3
     assert all(step.iterations >= 2 for step in state.steps)
+
+
+def test_continuation_walks_a_grid_with_no_small_divisor_on_its_own_steps(monkeypatch):
+    # the walk's grid is the fine one coarsened by the largest divisor up to 4
+    assert [mfg_solvers._coarsening(n) for n in (12, 30, 10, 25, 7)] == [4, 3, 2, 1, 1]
+    steps = []
+    solve = mfg_solvers.solve_scaled_fbsde
+
+    def recorded(*args, **kwargs):
+        steps.append(args[4].grid.n_steps)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(mfg_solvers, "solve_scaled_fbsde", recorded)
+    bundle, state = solve_continuation(get_preset("lq").spec, XI0, small_noise(m=8, k=32, n=7),
+                                       tol=1e-3)
+    # 7 steps: the walk runs on the fine grid, and its bundle is the result
+    assert state.gamma == pytest.approx(1.0)
+    assert state.walk_steps == 7 and set(steps) == {7}
+    assert bundle is state.bundle
+
+
+def test_continuation_falls_back_to_the_fine_walk(monkeypatch):
+    # outside the smallness conditions the coarse walk's control lies 12.5%
+    # from the fine fixed point, and the fine finish from it diverges; the
+    # walk on the fine grid converges, and its result is returned unchanged
+    preset = get_preset("lq_drift_coupled", {"kappa": 1.5, "horizon": 2.0})
+    noise = small_noise(seed=3, m=16, k=32, n=40, horizon=2.0)
+    bundle, state = solve_continuation(preset.spec, XI0, noise, tol=1e-3)
+    assert state.gamma == pytest.approx(1.0) and state.walk_steps == 40
+    assert bundle.residual_history[-1] <= 1e-3 / 5
+    monkeypatch.setattr(mfg_solvers, "_MAX_COARSENING", 1)
+    fine, fine_state = solve_continuation(preset.spec, XI0, noise, tol=1e-3)
+    assert np.array_equal(bundle.controls, fine.controls)
+    assert state.schedule() == fine_state.schedule()
+
+
+def test_a_failed_fallback_raises_the_fine_walks_error(monkeypatch):
+    # both walks stall; the error is the fine walk's, and it names the coarse failure
+    preset = get_preset("lq")
+    noise = small_noise(m=6, k=16, n=10)
+    with pytest.raises(SolverError, match="continuation stalled") as err:
+        solve_continuation(preset.spec, XI0, noise, tol=1e-10, max_picard=1)
+    monkeypatch.setattr(mfg_solvers, "_MAX_COARSENING", 1)
+    with pytest.raises(SolverError) as fine:
+        solve_continuation(preset.spec, XI0, noise, tol=1e-10, max_picard=1)
+    assert str(err.value) == str(fine.value)
+    history = dict(err.value.history)
+    assert history.pop("coarse_failure").startswith("continuation stalled")
+    assert history == fine.value.history
+    assert set(history) >= {"schedule", "last_distances"}
 
 
 def test_stability_ratio_bounded_across_perturbation_scales():
