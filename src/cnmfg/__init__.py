@@ -10,8 +10,8 @@ finite-player game.
 __version__ = "0.1.0"
 
 from .errors import CnmfgError, ConfigError, MeasureError, ModelError, SimulationError, SolverError
-from .measures import (Coupling, EmpiricalMeasure, MeasureFlow, PathLaws, constant_flow,
-                       second_moment, wasserstein2)
+from .measures import (EmpiricalMeasure, MeasureFlow, PathLaws, constant_flow, second_moment,
+                       wasserstein2)
 from .model import (ConditionReport, CostSpec, LinearCoefficient, ModelSpec, Preset, SamplerConfig,
                     ValidationReport, cost_functional, get_preset, hamiltonian, hamiltonian_dx,
                     minimize_hamiltonian, minimize_hamiltonian_values, preset_names,

@@ -199,8 +199,7 @@ class InputPerturbation:
 
     ``b``, ``sigma``, ``sigma_tilde`` add to the drift and the volatilities and
     ``f`` to the adjoint's driver, indexed [path, particle, step]; ``g``
-    (path, particle) adds to the terminal condition.  ``norm``: the square root
-    of the terminal mean square plus the time integral of the running squares.
+    (path, particle) adds to the terminal condition.
     """
 
     b: np.ndarray
@@ -208,13 +207,6 @@ class InputPerturbation:
     sigma_tilde: np.ndarray
     f: np.ndarray
     g: np.ndarray
-    dt: float
-
-    @property
-    def norm(self) -> float:
-        running = np.sum(self.b ** 2 + self.sigma ** 2 + self.sigma_tilde ** 2 + self.f ** 2,
-                         axis=2) * self.dt
-        return float(np.sqrt(np.mean(self.g ** 2 + running)))
 
 
 @dataclass
@@ -230,12 +222,12 @@ class OpenLoopControl:
 
 @dataclass
 class FeedbackControl:
-    """Closed-loop rule u = fn(step, t, states, conditional means)."""
+    """Closed-loop rule u = fn(step, t, states) on the (path, particle) states of one step."""
 
-    fn: Callable[[int, float, np.ndarray, np.ndarray], np.ndarray]
+    fn: Callable[[int, float, np.ndarray], np.ndarray]
 
-    def values(self, step: int, t: float, x: np.ndarray, means: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(np.asarray(self.fn(step, t, x, means), dtype=float), x.shape).copy()
+    def values(self, step: int, t: float, x: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(np.asarray(self.fn(step, t, x), dtype=float), x.shape).copy()
 
 
 ControlRule = OpenLoopControl | FeedbackControl
@@ -304,7 +296,7 @@ def simulate_forward(spec: ModelSpec, rule: ControlRule, noise: NoiseBundle,
         if open_loop:
             u = controls[:, :, n]
         else:
-            u = controls[:, :, n] = rule.values(n, t, x, law.mean[:, 0])
+            u = controls[:, :, n] = rule.values(n, t, x)
 
         with np.errstate(over="ignore", invalid="ignore"):
             drift = gamma * spec.drift.values(t, x, u, law)

@@ -1,9 +1,10 @@
-"""Empirical measures on the real line and exact 1-d quadratic transport distance.
+"""Empirical measures on the real line, their flows, and exact 1-d quadratic transport distance.
 
 Equal-weight empirical measures are the only measure representation in the
-package: particle systems produce them, and in one dimension the quadratic
-Wasserstein distance between equal-weight measures is exact via the sorted
-(monotone) coupling.  Measures are compared only at equal atom counts.
+package: particle systems produce them, one per (grid node, common path) in a
+``MeasureFlow``, and in one dimension the quadratic Wasserstein distance
+between equal-weight measures is exact via the sorted (monotone) pairing of
+their atoms.  Measures are compared only at equal atom counts.
 """
 
 from __future__ import annotations
@@ -159,64 +160,3 @@ def constant_flow(value: float, grid: "TimeGrid", n_paths: int) -> MeasureFlow:
     atoms = np.full((n_paths, 1, grid.n_steps + 1), float(value))
     return MeasureFlow(atoms=atoms, grid=grid)
 
-
-# ---------------------------------------------------------------------------
-# Couplings of two empirical measures
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Coupling:
-    """Joint weights over atom pairs of two equal-weight empirical measures."""
-
-    weights: np.ndarray
-    m1: EmpiricalMeasure
-    m2: EmpiricalMeasure
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.m1.n_atoms, self.m2.n_atoms):
-            raise MeasureError("coupling weight shape does not match marginal atom counts")
-        if np.any(w < -1e-15):
-            raise MeasureError("coupling weights must be nonnegative")
-        row = w.sum(axis=1)
-        col = w.sum(axis=0)
-        if np.max(np.abs(row - 1.0 / self.m1.n_atoms)) > 1e-12 or np.max(np.abs(col - 1.0 / self.m2.n_atoms)) > 1e-12:
-            raise MeasureError("coupling marginals do not reproduce the uniform weights")
-        object.__setattr__(self, "weights", w)
-
-    def expectation(self, fn) -> float:
-        """Weighted expectation of fn(x, y) over the coupling."""
-        x = self.m1.atoms[:, None]
-        y = self.m2.atoms[None, :]
-        return float(np.sum(self.weights * fn(x, y)))
-
-
-def permutation_coupling(m1: EmpiricalMeasure, m2: EmpiricalMeasure, perm: np.ndarray) -> Coupling:
-    n = m1.n_atoms
-    if m2.n_atoms != n:
-        raise MeasureError("permutation couplings need equal atom counts")
-    w = np.zeros((n, n))
-    w[np.arange(n), np.asarray(perm)] = 1.0 / n
-    return Coupling(w, m1, m2)
-
-
-def comonotone_coupling(m1: EmpiricalMeasure, m2: EmpiricalMeasure) -> Coupling:
-    order1 = np.argsort(m1.atoms, kind="stable")
-    order2 = np.argsort(m2.atoms, kind="stable")
-    perm = np.empty_like(order1)
-    perm[order1] = order2
-    return permutation_coupling(m1, m2, perm)
-
-
-def antithetic_coupling(m1: EmpiricalMeasure, m2: EmpiricalMeasure) -> Coupling:
-    order1 = np.argsort(m1.atoms, kind="stable")
-    order2 = np.argsort(m2.atoms, kind="stable")[::-1]
-    perm = np.empty_like(order1)
-    perm[order1] = order2
-    return permutation_coupling(m1, m2, perm)
-
-
-def independent_coupling(m1: EmpiricalMeasure, m2: EmpiricalMeasure) -> Coupling:
-    w = np.full((m1.n_atoms, m2.n_atoms), 1.0 / (m1.n_atoms * m2.n_atoms))
-    return Coupling(w, m1, m2)

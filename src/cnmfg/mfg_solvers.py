@@ -94,8 +94,7 @@ def _coefficient_inputs(spec: ModelSpec, bundle: SolutionBundle, eta: float) -> 
                                    bundle.q_tilde[:, :, n], u, law), eta, out=out_f[:, :, n])
     # the cost's gx may hand back its argument, so its values are not scaled in place
     gx_T = eta * np.asarray(spec.cost.gx(states[:, :, -1], flow.at(n_steps)))
-    return InputPerturbation(b=out_b, sigma=out_s, sigma_tilde=out_st, f=out_f, g=gx_T,
-                             dt=bundle.grid.dt)
+    return InputPerturbation(b=out_b, sigma=out_s, sigma_tilde=out_st, f=out_f, g=gx_T)
 
 
 @dataclass
@@ -268,13 +267,12 @@ def _walk(noise: NoiseBundle, spec: ModelSpec, xi0: InitialLaw, eta0: float, tol
 
 @dataclass
 class DecouplingField:
-    """Affine boundary representation of the adjoint: v(x, mean) at one time.
+    """Affine boundary representation of the adjoint: v(x, mean) at one grid node.
 
     Fitted by pooled least squares from (state, conditional mean, adjoint)
     samples at an interval boundary.
     """
 
-    tau: float
     intercept: float
     slope_x: float
     slope_mean: float
@@ -292,8 +290,7 @@ class DecouplingField:
         return lambda x, m: self.evaluate(x, m.mean)
 
 
-def fit_decoupling_field(tau: float, states: np.ndarray, means: np.ndarray,
-                         p_values: np.ndarray) -> DecouplingField:
+def fit_decoupling_field(states: np.ndarray, means: np.ndarray, p_values: np.ndarray) -> DecouplingField:
     """Pooled least-squares fit of p ~ 1 + x + conditional mean at a boundary."""
     x = states.ravel()
     mean_b = np.repeat(means, states.shape[1])
@@ -303,7 +300,7 @@ def fit_decoupling_field(tau: float, states: np.ndarray, means: np.ndarray,
     fitted = design @ coef
     var_y = float(np.var(y))
     r2 = 1.0 - float(np.mean((y - fitted) ** 2)) / var_y if var_y > 1e-300 else 1.0
-    return DecouplingField(tau=tau, intercept=float(coef[0]), slope_x=float(coef[1]),
+    return DecouplingField(intercept=float(coef[0]), slope_x=float(coef[1]),
                            slope_mean=float(coef[2]), r_squared=r2)
 
 
@@ -425,8 +422,8 @@ def _run_stitch(spec, xi0, noise, bounds, tol, inner_tol, max_fp_iter, global_pa
                 report.cold_backward_ratios.append(ratio)
             u_full[:, :, lo:hi] = bundle.controls
             if r > 1:
-                fld = fit_decoupling_field(grid.nodes[lo], bundle.states[:, :, 0],
-                                           bundle.flow.means[:, 0], bundle.p[:, :, 0])
+                fld = fit_decoupling_field(bundle.states[:, :, 0], bundle.flow.means[:, 0],
+                                           bundle.p[:, :, 0])
                 if fld.slope_x < -1e-3:
                     raise SolverError(
                         f"decoupling field at t={grid.nodes[lo]:.4f} lost monotonicity "

@@ -20,8 +20,9 @@ The generalized Hamiltonian is
 whose unique u-minimizer solves b2*p + sigma2*q + sigma_tilde2*qt
 + f0u(t, x, u) = 0.  Every structural hypothesis the solvers rely on
 (linearity, growth, Lipschitz, convexity, measure-Lipschitz intercepts, weak
-monotonicity of f1x and gx under couplings) has a sampling validator here, and
-the smallness ratios that guarantee solvability are evaluated by
+monotonicity of f1x and gx under the sorted, antisorted and product pairings
+of two measures' atoms) has a sampling validator here, and the smallness
+ratios that guarantee solvability are evaluated by
 ``sufficient_condition_report``.
 """
 
@@ -34,15 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ModelError
-from .measures import (
-    EmpiricalMeasure,
-    PathLaws,
-    antithetic_coupling,
-    comonotone_coupling,
-    independent_coupling,
-    second_moment,
-    wasserstein2,
-)
+from .measures import EmpiricalMeasure, PathLaws, second_moment, wasserstein2
 
 ArrayLike = float | np.ndarray
 # the measure argument of a coefficient or cost: anything with .mean and .atoms
@@ -452,17 +445,19 @@ def validate_assumptions(spec: ModelSpec, cfg: SamplerConfig | None = None) -> V
                                   {"intercept_measure_lipschitz": lm_hat,
                                    "cost_measure_lipschitz": cost_lm}))
 
-    # weak monotonicity under comonotone / independent / antithetic couplings
+    # weak monotonicity, averaged over three pairings of the atoms of m1 and m2:
+    # equal ranks (sorted), every pair (product) and opposite ranks (antisorted);
+    # the ranked pairings list their pairs in the index order of m2's atoms
     wm_min = math.inf
     for m1, m2 in _measure_pairs(rng, cfg, equal_size=True):
         t = float(rng.uniform(0.0, T))
-        for make in (comonotone_coupling, independent_coupling, antithetic_coupling):
-            cpl = make(m1, m2)
-            val_f = cpl.expectation(
-                lambda x, y: (np.asarray(spec.cost.f1x(t, x, m1)) - np.asarray(spec.cost.f1x(t, y, m2))) * (x - y))
-            val_g = cpl.expectation(
-                lambda x, y: (np.asarray(spec.cost.gx(x, m1)) - np.asarray(spec.cost.gx(y, m2))) * (x - y))
-            wm_min = min(wm_min, val_f, val_g)
+        x, y = m1.atoms, m2.atoms
+        rank = np.argsort(np.argsort(y, kind="stable"))
+        ranked_x = np.sort(x, kind="stable")
+        for xs, ys in ((ranked_x[rank], y), (x[:, None], y[None, :]), (ranked_x[::-1][rank], y)):
+            gap_f = np.asarray(spec.cost.f1x(t, xs, m1)) - np.asarray(spec.cost.f1x(t, ys, m2))
+            gap_g = np.asarray(spec.cost.gx(xs, m1)) - np.asarray(spec.cost.gx(ys, m2))
+            wm_min = min(wm_min, float(np.mean(gap_f * (xs - ys))), float(np.mean(gap_g * (xs - ys))))
     checks.append(AssumptionCheck("weak_monotonicity", wm_min >= -cfg.tol_mono,
                                   {"coupled_monotonicity_min": wm_min}))
 
@@ -627,14 +622,14 @@ _LQ_DEFAULTS = dict(
 )
 
 
-def _structural_constants(p: dict, extra_lip: float = 0.0, lm_extra: float = 0.0) -> tuple[float, float, float, float]:
+def _structural_constants(p: dict, extra_lip: float = 0.0) -> tuple[float, float, float, float]:
     slopes = [abs(p[k]) for k in ("b1", "b2", "sigma1", "sigma2", "sigma_tilde1", "sigma_tilde2")]
     lips = [2.0 * p["cx"], 2.0 * p["cu"], 2.0 * p["c1"], 2.0 * (p["cg0"] + p["cg"]),
             2.0 * p["c1"] * p["lam"], 2.0 * p["cg"] * p["lamg"], extra_lip]
     growth = [abs(p["b0"]) + abs(p["kappa"]), abs(p["sigma0"]), abs(p["sigma_tilde0"])]
     L = max(slopes + lips + growth + [1e-6])
     B_u = max(abs(p["sigma2"]), abs(p["sigma_tilde2"]))
-    L_m = abs(p["kappa"]) + lm_extra
+    L_m = abs(p["kappa"])
     cv = math.hypot(2.0 * (p["cg0"] + p["cg"]), 2.0 * p["cg"] * p["lamg"])
     return L, B_u, L_m, cv
 

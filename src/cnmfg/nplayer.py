@@ -39,7 +39,7 @@ class FeedbackStrategy:
 
     def control_rule(self, means: np.ndarray) -> FeedbackControl:
         """The feedback as a control rule on the means table ``means[j, step]``, a row per path."""
-        def fn(step, t, x, live_means):
+        def fn(step, t, x):
             return (self.intercept[step] + self.slope_x[step] * x
                     + self.slope_mean[step] * means[:, step, None])
 
@@ -49,9 +49,9 @@ class FeedbackStrategy:
     def from_bundle(cls, bundle: SolutionBundle) -> "FeedbackStrategy":
         """Per-step pooled fit of the solved control on (1, x, mean); a
         non-finite fit raises SolverError."""
-        fits = [fit_decoupling_field(t, bundle.states[:, :, n], bundle.flow.means[:, n],
+        fits = [fit_decoupling_field(bundle.states[:, :, n], bundle.flow.means[:, n],
                                      bundle.controls[:, :, n])
-                for n, t in enumerate(bundle.grid.nodes[:-1])]
+                for n in range(bundle.grid.n_steps)]
         return cls(**{name: np.array([getattr(f, name) for f in fits])
                       for name in ("intercept", "slope_x", "slope_mean")})
 

@@ -98,7 +98,7 @@ def test_exchangeability_and_conditional_law_consistency():
     preset = get_preset("lq_drift_coupled")
     grid = TimeGrid(1.0, 20)
     noise = NoiseBundle(seed=5, n_paths=4, n_particles=16, grid=grid)
-    rule = FeedbackControl(lambda step, t, x, means: -0.3 * x)
+    rule = FeedbackControl(lambda step, t, x: -0.3 * x)
     ens = simulate_forward(preset.spec, rule, noise, InitialLaw(kind="normal", mu=0.5, std=0.4))
 
     # permuting particles within a path leaves every flow measure invariant
@@ -176,7 +176,7 @@ def test_one_callable_serves_live_frozen_and_per_path_laws():
     spec.vol.phi0 = lambda t, m: 0.1 + 0.05 * _second_moment(m)
     spec.cost.f1x = lambda t, x, m: np.asarray(x) * _second_moment(m) - m.mean
     noise = NoiseBundle(seed=14, n_paths=3, n_particles=16, grid=grid)
-    rule = FeedbackControl(lambda step, t, x, means: -0.5 * x + 0.1 * means[:, None])
+    rule = FeedbackControl(lambda step, t, x: -0.5 * x + 0.1 * x.mean(axis=1, keepdims=True))
     law0 = InitialLaw(kind="normal", mu=0.5, std=0.8)
     live = simulate_forward(spec, rule, noise, law0)
     frozen = simulate_forward(spec, rule, noise, law0, frozen_flow=live.flow)

@@ -1,4 +1,4 @@
-"""Measure layer: exact 1-d transport distance, flows, couplings."""
+"""Measure layer: exact 1-d transport distance and measure flows."""
 
 import itertools
 
@@ -7,9 +7,7 @@ import pytest
 
 from cnmfg.errors import MeasureError
 from cnmfg.forward_sim import InitialLaw, NoiseBundle, OpenLoopControl, TimeGrid, simulate_forward
-from cnmfg.measures import (Coupling, EmpiricalMeasure, MeasureFlow, antithetic_coupling,
-                            comonotone_coupling, independent_coupling, permutation_coupling,
-                            second_moment, wasserstein2)
+from cnmfg.measures import EmpiricalMeasure, MeasureFlow, second_moment, wasserstein2
 
 from helpers import simple_spec
 
@@ -147,23 +145,6 @@ def test_conditional_law_dirac_with_zero_idiosyncratic_noise():
             assert np.max(np.abs(ens.flow.at(n).atoms[j] - x)) < 1e-12
             x = x + (0.3 + 0.5 * x) * grid.dt + 0.4 * noise.dW_common[j, n]
         assert np.max(np.abs(ens.flow.at(20).atoms[j] - x)) < 1e-12
-
-
-def test_coupling_marginals_and_costs():
-    m1 = EmpiricalMeasure([0.0, 1.0, 2.0])
-    m2 = EmpiricalMeasure([1.0, 0.0, 5.0])
-    for make in (comonotone_coupling, antithetic_coupling, independent_coupling):
-        cpl = make(m1, m2)
-        assert np.all(cpl.weights >= 0)
-        assert np.allclose(cpl.weights.sum(axis=1), 1.0 / 3.0, atol=1e-13)
-        assert np.allclose(cpl.weights.sum(axis=0), 1.0 / 3.0, atol=1e-13)
-    # comonotone pairing realizes the exact distance
-    cpl = comonotone_coupling(m1, m2)
-    assert np.sqrt(cpl.expectation(lambda x, y: (x - y) ** 2)) == pytest.approx(wasserstein2(m1, m2))
-    with pytest.raises(MeasureError):
-        Coupling(np.ones((3, 3)), m1, m2)
-    with pytest.raises(MeasureError):
-        permutation_coupling(m1, EmpiricalMeasure([0.0]), np.array([0]))
 
 
 def test_mean_square_gap_dominates_w2():

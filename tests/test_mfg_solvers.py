@@ -25,17 +25,6 @@ def small_noise(seed=11, m=12, k=48, n=40, horizon=1.0):
     return NoiseBundle(seed=seed, n_paths=m, n_particles=k, grid=TimeGrid(horizon, n))
 
 
-def test_input_norm_formula():
-    rng = np.random.default_rng(0)
-    shape = (3, 4, 5)
-    inp = InputPerturbation(b=rng.normal(size=shape), sigma=rng.normal(size=shape),
-                            sigma_tilde=rng.normal(size=shape), f=rng.normal(size=shape),
-                            g=rng.normal(size=shape[:2]), dt=0.2)
-    running = (inp.b ** 2 + inp.sigma ** 2 + inp.sigma_tilde ** 2 + inp.f ** 2).sum(axis=2) * 0.2
-    expected = np.sqrt(np.mean(inp.g ** 2 + running))
-    assert inp.norm == pytest.approx(expected, rel=1e-12)
-
-
 def test_gamma_zero_zero_inputs_is_static():
     preset = get_preset("lq")
     noise = small_noise()
@@ -50,7 +39,7 @@ def test_gamma_zero_running_input_integrates_backward():
     noise = small_noise()
     zero = np.zeros((12, 48, 40))
     inputs = InputPerturbation(b=zero, sigma=zero, sigma_tilde=zero, f=np.ones_like(zero),
-                               g=np.zeros((12, 48)), dt=noise.grid.dt)
+                               g=np.zeros((12, 48)))
     b = solve_scaled_fbsde(preset.spec, 0.0, XI0, inputs, noise, tol=1e-8)
     expected = 1.0 - noise.grid.nodes
     assert np.max(np.abs(b.p - expected[None, None, :])) < 1e-6
@@ -202,15 +191,17 @@ def test_stability_ratio_bounded_across_perturbation_scales():
     base = solve_scaled_fbsde(preset.spec, 0.5, XI0, None, noise, tol=3e-4)
     direction = {key: rng.normal(size=shape) for key in ("b", "sigma", "sigma_tilde", "f")}
     direction["g"] = rng.normal(size=shape[:2])
+    # input norm: root of the terminal mean square plus the time integral of the running squares
+    running = sum(direction[key] ** 2 for key in ("b", "sigma", "sigma_tilde", "f")).sum(axis=2)
+    direction_norm = np.sqrt(np.mean(direction["g"] ** 2 + running * noise.grid.dt))
     ratios = []
     for scale in np.geomspace(3e-3, 1.0, 10):
         inp = InputPerturbation(b=scale * direction["b"], sigma=scale * direction["sigma"],
                                 sigma_tilde=scale * direction["sigma_tilde"],
-                                f=scale * direction["f"], g=scale * direction["g"],
-                                dt=noise.grid.dt)
+                                f=scale * direction["f"], g=scale * direction["g"])
         pert = solve_scaled_fbsde(preset.spec, 0.5, XI0, inp, noise, tol=3e-4,
                                   u0=base.controls)
-        ratios.append(solution_distance(pert, base) / inp.norm)
+        ratios.append(solution_distance(pert, base) / (scale * direction_norm))
     ratios = np.array(ratios)
     assert np.all(ratios <= 10 * np.median(ratios))
 
@@ -273,7 +264,7 @@ def test_decoupling_field_fit_and_terminal():
     states = rng.normal(size=(6, 40))
     means = states.mean(axis=1)
     p = 0.7 + 1.4 * states - 0.6 * means[:, None]
-    fld = fit_decoupling_field(0.5, states, means, p)
+    fld = fit_decoupling_field(states, means, p)
     assert fld.intercept == pytest.approx(0.7, abs=1e-10)
     assert fld.slope_x == pytest.approx(1.4, abs=1e-10)
     assert fld.slope_mean == pytest.approx(-0.6, abs=1e-10)
@@ -284,7 +275,7 @@ def test_decoupling_field_fit_and_terminal():
     assert np.allclose(vals, 0.7 + 1.4 * x - 0.3)
 
     with pytest.raises(SolverError, match="non-finite"):
-        DecouplingField(tau=0.5, intercept=np.nan, slope_x=1.0, slope_mean=0.0, r_squared=1.0)
+        DecouplingField(intercept=np.nan, slope_x=1.0, slope_mean=0.0, r_squared=1.0)
 
 
 def test_stitched_single_interval_equals_direct_fixed_point():

@@ -162,6 +162,11 @@ def test_validate_assumptions_presets():
     assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
     report = validate_assumptions(get_preset("tanh_drift").spec, cfg)
     assert report.passed
+    # a stronger mean attraction in the running cost breaks weak monotonicity alone
+    mono = validate_assumptions(get_preset("tanh_drift", {"lam": 1.5}).spec, cfg)
+    assert [c.name for c in mono.checks if not c.passed] == ["weak_monotonicity"]
+    assert mono.check("weak_monotonicity").estimates["coupled_monotonicity_min"] == pytest.approx(
+        -4.497, abs=1e-3)
 
     bad = validate_assumptions(get_preset("concave_g").spec, cfg)
     assert not bad.passed

@@ -120,7 +120,7 @@ def test_gap_positive_at_small_n_with_strong_coupling():
     base_rule = strat.control_rule(games.limit_means)
 
     def leg(scale):
-        rule = FeedbackControl(lambda step, t, x, means: scale * base_rule.fn(step, t, x, means))
+        rule = FeedbackControl(lambda step, t, x: scale * base_rule.fn(step, t, x))
         ens = simulate_forward(firm.spec, rule, dev_noise, init_states=init, frozen_flow=frozen)
         return per_sample_costs(firm.spec, ens.states, ens.controls, frozen, GRID)[:, 0]
 
