@@ -494,13 +494,26 @@ class ConditionReport:
     stitching_ok: bool
 
     def to_dict(self) -> dict:
-        return {k: (float(v) if not isinstance(v, bool) else v) for k, v in self.__dict__.items()}
+        # strict JSON has no infinity: a constant past float range is written as null
+        return {k: v if isinstance(v, bool) else float(v) if math.isfinite(v) else None
+                for k, v in self.__dict__.items()}
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def gronwall_constants(L: float, T: float) -> tuple[float, float]:
-    """Conservative forward/backward stability constants (documented stand-ins)."""
-    c1 = 3.0 * (1.0 + T) * (1.0 + L * L * T) * math.exp(3.0 * L * L * T * (T + 4.0))
-    c2 = 8.0 * (1.0 + L * L) * (1.0 + T) * math.exp(8.0 * L * L * T * (T + 1.0))
+    """Conservative forward/backward stability constants (documented stand-ins).
+
+    An exponent past float range gives an infinite constant: the smallness
+    thresholds built on it are then 0, which only a zero ratio meets.
+    """
+    c1 = 3.0 * (1.0 + T) * (1.0 + L * L * T) * _exp(3.0 * L * L * T * (T + 4.0))
+    c2 = 8.0 * (1.0 + L * L) * (1.0 + T) * _exp(8.0 * L * L * T * (T + 1.0))
     return c1, c2
 
 

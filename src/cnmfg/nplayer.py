@@ -163,10 +163,11 @@ def nash_gap(spec: ModelSpec, strategy: FeedbackStrategy, n_players: int, grid: 
     flows.  Copies of a single player (fresh idiosyncratic noise, each
     replica's common noise, common random numbers between the two legs) are
     simulated following the strategy and following the best response solved
-    against the frozen flows.  Several replicas are essential: the common
-    loadings of the best-response solve are identified across replicas,
-    keeping the deviation adapted - a single realization would hand it
-    anticipative knowledge of the common path.  Player 1's paired cost
+    against the frozen flows, its control iteration started from the strategy
+    leg's controls.  Several replicas are essential: the common loadings of
+    the best-response solve are identified across replicas, keeping the
+    deviation adapted - a single realization would hand it anticipative
+    knowledge of the common path.  Player 1's paired cost
     difference (copy 0 reuses player 1's noise and initial state) estimates
     the deviation gain, one independent sample per replica.
 
@@ -191,9 +192,11 @@ def nash_gap(spec: ModelSpec, strategy: FeedbackStrategy, n_players: int, grid: 
                                  init_states=init_states, frozen_flow=frozen)
     cost_strat = per_sample_costs(spec, strat_ens.states, strat_ens.controls, frozen, grid)
 
+    # the strategy leg lies within one equilibrium error of the best response;
+    # picard_solve never writes into its u0, and cost_strat is already taken
     try:
         dev = picard_solve(spec, dev_noise, terminal_from_cost(spec), init_states=init_states,
-                           frozen_flow=frozen, tol=solver_tol)
+                           frozen_flow=frozen, u0=strat_ens.controls, tol=solver_tol)
     except SolverError:
         return GapEstimate(gap=float("nan"), stderr=float("nan"),
                            cost_strategy=float(np.mean(cost_strat)),

@@ -255,6 +255,31 @@ def test_validate_exit_codes(tmp_path):
     assert "convexity" in failed
 
 
+def _strict_json(path: Path) -> dict:
+    def reject(token):
+        raise ValueError(f"non-strict JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_quartic_f1_validates_and_solves_with_an_infinite_gronwall_constant(tmp_path, capsys):
+    from cnmfg.model import get_preset, validate_assumptions
+
+    # quartic_f1's structural constant puts exp(3 L^2 T (T + 4)) past float range
+    kw = dict(preset="quartic_f1", grid={"horizon": 1.0, "n_steps": 12},
+              ensemble={"n_common": 8, "n_particles": 16})
+    verdict = validate_assumptions(get_preset("quartic_f1").spec).passed
+    path = write_config(tmp_path / "v.json", output_dir=str(tmp_path / "v"), **kw)
+    assert main(["validate", "--config", str(path)]) == (0 if verdict else 3)
+    conditions = _strict_json(tmp_path / "v" / "validation.json")["conditions"]
+    assert conditions["C1"] is None and conditions["delta_continuation"] == 0.0
+    path = write_config(tmp_path / "s.json", output_dir=str(tmp_path / "s"), **kw)
+    assert main(["solve", "--config", str(path)]) == 0
+    assert _strict_json(tmp_path / "s" / "report.json")["condition_report"]["C2"] is None
+    assert (tmp_path / "s" / "solution.npz").exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_compare_oracle_requires_lq(tmp_path, capsys):
     path = write_config(tmp_path / "cfg.json", preset="tanh_drift",
                         output_dir=str(tmp_path / "oc"))

@@ -7,8 +7,8 @@ import pytest
 
 from cnmfg.errors import ModelError, SolverError
 from cnmfg.forward_sim import InitialLaw, NoiseBundle, TimeGrid, simulate_forward, OpenLoopControl
-from cnmfg.lq_oracle import (LQParameters, lq_cost_oracle, oracle_loadings, oracle_solution,
-                             solve_riccati, _feedback)
+from cnmfg.lq_oracle import (LQParameters, RiccatiSolution, lq_cost_oracle, oracle_loadings,
+                             oracle_solution, solve_riccati, _feedback, _ode_rhs)
 from cnmfg.model import cost_functional, get_preset
 from cnmfg.nplayer import FeedbackStrategy, limit_mean_path
 
@@ -84,6 +84,38 @@ def test_blowup_detection():
     assert dataclasses.asdict(params)["cx"] == -5.0
     with pytest.raises(SolverError, match="non-solvable LQ data"):
         solve_riccati(params, TimeGrid(6.0, 60))
+
+
+def _reference_riccati_fine(params, grid):
+    """The RK4 loop on a numpy state vector: each stage an array of numpy scalars."""
+    refine = max(10, -(-400 // grid.n_steps))
+    n_fine = grid.n_steps * refine
+    h = params.horizon / n_fine
+    y = np.array([2.0 * (params.cg0 + params.cg), -2.0 * params.cg * params.lamg, 0.0])
+    out = np.empty((n_fine + 1, 3))
+    out[n_fine] = y
+    for i in range(n_fine, 0, -1):
+        k1 = np.array(_ode_rhs(params, *y))
+        k2 = np.array(_ode_rhs(params, *(y - 0.5 * h * k1)))
+        k3 = np.array(_ode_rhs(params, *(y - 0.5 * h * k2)))
+        k4 = np.array(_ode_rhs(params, *(y - h * k3)))
+        y = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i - 1] = y
+    return out
+
+
+def test_float_rk4_equals_array_form_reference_bit_for_bit():
+    for name in ("lq", "lq_drift_coupled", "lq_small_bu", "mean_reverting"):
+        params = get_preset(name).lq_params
+        for n_steps in (12, 25, 100):
+            grid = TimeGrid(params.horizon, n_steps)
+            got = solve_riccati(params, grid)
+            out = _reference_riccati_fine(params, grid)
+            want = RiccatiSolution(params=params, t_fine=got.t_fine, a_fine=out[:, 0],
+                                   b_fine=out[:, 1], c_fine=out[:, 2], grid=grid)
+            for key in ("a_fine", "b_fine", "c_fine"):
+                assert np.array_equal(getattr(got, key), getattr(want, key)), (name, n_steps, key)
+            assert got.matching_residual_max == want.matching_residual_max
 
 
 def test_stiff_valid_data_solves_with_finer_integration():

@@ -193,7 +193,8 @@ def _reference_nash_gap(spec, strategy, n_players, grid, xi0, seed, *, n_copies,
     cost_strat = per_sample_costs(spec, strat_ens.states, strat_ens.controls, frozen, grid)
     try:
         dev = picard_solve(spec, dev_noise, terminal_from_cost(spec), init_states=init_states,
-                           frozen_flow=frozen, tol=solver_tol, max_iter=max_iter)
+                           frozen_flow=frozen, u0=strat_ens.controls, tol=solver_tol,
+                           max_iter=max_iter)
     except SolverError:
         return GapEstimate(gap=float("nan"), stderr=float("nan"),
                            cost_strategy=float(np.mean(cost_strat)),
@@ -245,3 +246,31 @@ def test_batched_estimators_equal_per_replica_reference():
         want = _reference_population_cost_convergence(preset.spec, strat, n_players, SHORT, XI0,
                                                       range(30, 34), proxy_particles=64)
         assert got == want
+
+
+def test_deviation_solve_starts_from_the_strategy_leg(monkeypatch):
+    import cnmfg.nplayer as nplayer
+
+    preset = get_preset("lq")
+    strat = FeedbackStrategy.from_riccati(solve_riccati(preset.lq_params, SHORT))
+    legs, solves = [], []
+
+    def recording_simulate(*args, **kw):
+        legs.append(simulate_forward(*args, **kw))
+        return legs[-1]
+
+    def recording_solve(*args, **kw):
+        warm = picard_solve(*args, **kw)
+        cold = picard_solve(*args, **dict(kw, u0=None))
+        solves.append((kw["u0"], warm, cold))
+        return warm
+
+    monkeypatch.setattr(nplayer, "simulate_forward", recording_simulate)
+    monkeypatch.setattr(nplayer, "picard_solve", recording_solve)
+    g = nash_gap(preset.spec, strat, 4, SHORT, XI0, 21, n_copies=16, n_replicas=8,
+                 solver_tol=1e-3)
+    assert not g.inconclusive
+    (u0, warm, cold), = solves
+    # the strategy leg is the last forward simulation before the solve
+    assert u0 is legs[-1].controls
+    assert warm.diagnostics["iterations"] < cold.diagnostics["iterations"]
