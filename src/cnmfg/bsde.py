@@ -14,13 +14,19 @@ frozen flow).  Two common-noise specifics matter:
 * the idiosyncratic loading is regressed from fit residuals times the own
   increments, which keeps its variance at the increment scale.
 
-Only the products with the next adjoint slice depend on the recursion.  A step
-builds its basis as one (path, basis, particle) block and inverts its ridged
-Gram matrices once for both fits; if its states all coincide, z = 0, which
-under the ridge is the intercept-only fit.  The cross-path design reads only
-flow, noise and the z2 gates, so two batched solves build it for all steps up
-front, and a coupled solve on a frozen flow builds it only once.  The loop
-reduces with einsum and ufuncs: a long BLAS dot wakes spinning threads.
+Only the products with the next adjoint slice depend on the recursion.  The
+state-only geometry is built per block of consecutive steps (at most
+``_GEOMETRY_BLOCK`` states): each step's mean and standard deviation in one
+reduction over the block, the ridged Gram matrices of [1, z, z^2] from
+per-path power sums of z, and one batched inversion of those; if a step's
+states all coincide, z = 0, which under the ridge is the intercept-only fit.
+The variances R^2 divides by are taken per block too, once its adjoint nodes
+are written.  Per step, the recursion rebuilds the basis as one (path, basis,
+particle) block from the stored moments and keeps the fits, q, q_tilde, p and
+the Hamiltonian's x-derivative.  The cross-path design reads only flow, noise
+and the z2 gates, so two batched solves build it for all steps up front, and a
+coupled solve on a frozen flow builds it only once.  The loop reduces with
+einsum and ufuncs: a long BLAS dot wakes spinning threads.
 
 The coupled solve iterates: simulate forward under the current control, solve
 backward, take the pointwise Hamiltonian minimizer, and step the control
@@ -54,6 +60,9 @@ from .model import ModelSpec, control_loading, hamiltonian_dx, minimize_hamilton
 _MIN_DAMPING = 0.02
 # residual differences that each Anderson step of the control iteration mixes
 _ANDERSON_DEPTH = 2
+# elements (step x path x particle) whose regression geometry the backward pass
+# builds at once: a whole pass on small ensembles, one step at desk scale
+_GEOMETRY_BLOCK = 2 ** 14
 
 
 def terminal_from_cost(spec: ModelSpec) -> Callable[..., np.ndarray]:
@@ -198,6 +207,36 @@ def _cross_path_design(spec: ModelSpec, flow: MeasureFlow, noise: NoiseBundle,
     return design, _fit_maps(design)
 
 
+def _regression_geometry(states: np.ndarray, lo: int, hi: int, ridge: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Standardization and inverse ridged Gram matrices of the steps lo..hi - 1.
+
+    Returns each step's state mean and standard deviation, whether its states
+    all coincide (its z is then 0, which under the ridge is the intercept-only
+    fit), and the (step, path, 3, 3) inverse Gram matrices of the basis
+    [1, z, z^2].  The moments are one reduction over the block's time-major
+    (step, path * particle) view; Gram entry (a, b) is the per-path power sum
+    of z^(a + b).
+    """
+    m, k, _ = states.shape
+    x = states.transpose(2, 0, 1)[lo:hi].reshape(hi - lo, m * k)
+    mu = x.mean(axis=1)
+    z = x - mu[:, None]
+    sd = np.sqrt(np.einsum("ni,ni->n", z, z) / (m * k))
+    flat = sd < 1e-10 * (1.0 + np.abs(mu))
+    z /= np.where(flat, np.inf, sd)[:, None]
+    z = z.reshape(hi - lo, m, k)
+    power = np.empty((5, hi - lo, m))
+    power[0] = k
+    z.sum(axis=2, out=power[1])
+    np.einsum("njk,njk,njk->nj", z, z, z, out=power[3])
+    np.square(z, out=z)
+    z.sum(axis=2, out=power[2])
+    np.einsum("njk,njk->nj", z, z, out=power[4])
+    gram = np.stack([power[a:a + 3] for a in range(3)]).transpose(2, 3, 0, 1) + ridge
+    return mu, sd, flat, np.linalg.inv(gram)
+
+
 def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: MeasureFlow,
                              terminal: Callable[..., np.ndarray], noise: NoiseBundle,
                              *, gamma: float = 1.0, inputs: InputPerturbation | None = None,
@@ -219,6 +258,13 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
     nodes = grid.nodes
     design, fit_maps = _cross_path_design(spec, flow, noise, {}) if design is None else design
 
+    # the steps run in blocks of ``width``, last first; each block's geometry is
+    # built before its recursion, the first one before the adjoint arrays exist
+    width = max(1, _GEOMETRY_BLOCK // (m * k))
+    lo, hi = max(0, span - width), span
+    ridge = (1e-9 * k) * np.eye(3)
+    geometry = _regression_geometry(states, lo, hi, ridge)
+
     p = particle_array(m, k, span + 1)
     q = particle_array(m, k, span)
     qt = particle_array(m, k, span)
@@ -229,7 +275,6 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
 
     basis = np.empty((m, 3, k))          # rows [1, z, z^2] of each path
     basis[:, 0] = 1.0
-    ridge = (1e-9 * k) * np.eye(3)
     r2 = np.empty(span)
     warnings = [] if m >= 4 else ["common-noise loading set to zero: fewer than 4 common paths"]
     degenerate_steps = 0
@@ -238,46 +283,53 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
         """Per-path ridge coefficients of ``values`` on the basis."""
         return np.einsum("jab,jb->ja", gram_inv, np.einsum("jbk,jk->jb", basis, values))
 
-    for n in range(span - 1, -1, -1):
-        t = nodes[n]
-        x = states[:, :, n]
-        y = p[:, :, n + 1]
+    while hi > 0:
+        mu, sd, flat, gram_invs = geometry
+        degenerate_steps += int(np.count_nonzero(flat))
+        for n in range(hi - 1, lo - 1, -1):
+            t = nodes[n]
+            x = states[:, :, n]
+            y = p[:, :, n + 1]
+            if flat[n - lo]:
+                basis[:, 1] = 0.0
+            else:
+                np.subtract(x, mu[n - lo], out=basis[:, 1])
+                basis[:, 1] /= sd[n - lo]
+            np.square(basis[:, 1], out=basis[:, 2])
+            gram_inv = gram_invs[n - lo]
+            coef = fit(gram_inv, y)
+            resid = y - np.einsum("jbk,jb->jk", basis, coef)
+            q_val = np.einsum("jbk,jb->jk", basis, fit(gram_inv, resid * noise.dW[:, :, n]) / dt,
+                              out=q[:, :, n])
 
-        mu, sd = float(x.mean()), float(x.std())
-        if sd < 1e-10 * (1.0 + abs(mu)):
-            # z = 0: under the ridge this is the intercept-only fit
-            degenerate_steps += 1
-            basis[:, 1] = 0.0
-        else:
-            np.subtract(x, mu, out=basis[:, 1])
-            basis[:, 1] /= sd
-        np.square(basis[:, 1], out=basis[:, 2])
-        gram_inv = np.linalg.inv(np.einsum("jak,jbk->jab", basis, basis) + ridge)
-        coef = fit(gram_inv, y)
-        resid = y - np.einsum("jbk,jb->jk", basis, coef)
-        q_val = np.einsum("jbk,jb->jk", basis, fit(gram_inv, resid * noise.dW[:, :, n]) / dt,
-                          out=q[:, :, n])
+            # Environment loadings: the common increment (and, at finite particle
+            # counts, the flow-mean innovation it does not explain) are constant
+            # within a path, so they are identified from cross-path variation of
+            # the per-path fit coefficients.  The common-increment slope is the
+            # common-noise loading; the full factor part is subtracted from the
+            # fit to undo its anticipative conditioning on the realized increments.
+            sol = fit_maps[n] @ coef
+            qt_val = np.einsum("jbk,jb->jk", basis, sol[2] + design[n, :, 1, None] * sol[3],
+                               out=qt[:, :, n])
+            p_n = np.einsum("jbk,jb->jk", basis, coef - design[n, :, 2:] @ sol[2:],
+                            out=p[:, :, n])
 
-        # Environment loadings: the common increment (and, at finite particle
-        # counts, the flow-mean innovation it does not explain) are constant
-        # within a path, so they are identified from cross-path variation of
-        # the per-path fit coefficients.  The common-increment slope is the
-        # common-noise loading; the full factor part is subtracted from the
-        # fit to undo its anticipative conditioning on the realized increments.
-        sol = fit_maps[n] @ coef
-        qt_val = np.einsum("jbk,jb->jk", basis, sol[2] + design[n, :, 1, None] * sol[3],
-                           out=qt[:, :, n])
-        p_n = np.einsum("jbk,jb->jk", basis, coef - design[n, :, 2:] @ sol[2:], out=p[:, :, n])
+            # H_x at p = 0: its b1 * p term is implicit, in the denominator below
+            p_n += (gamma * dt) * hamiltonian_dx(spec, t, x, 0.0, q_val, qt_val,
+                                                 controls[:, :, n], flow.at(n))
+            if inputs is not None:
+                p_n += dt * inputs.f[:, :, n]
+            p_n /= 1.0 - gamma * spec.drift.phi1(t) * dt
+            r2[n] = np.einsum("jk,jk->", resid, resid) / (m * k)
 
-        # H_x at p = 0: its b1 * p term is implicit, in the denominator below
-        p_n += (gamma * dt) * hamiltonian_dx(spec, t, x, 0.0, q_val, qt_val, controls[:, :, n],
-                                             flow.at(n))
-        if inputs is not None:
-            p_n += dt * inputs.f[:, :, n]
-        p_n /= 1.0 - gamma * spec.drift.phi1(t) * dt
-
-        var_y = float(np.var(y))
-        r2[n] = 1.0 - float(np.mean(resid ** 2)) / var_y if var_y > 1e-300 else 1.0
+        # r2 holds each step's mean squared residual; R^2 divides it by the
+        # variance of the fitted slice p[n + 1], now written for the whole block
+        var_y = p.transpose(2, 0, 1)[lo + 1:hi + 1].reshape(hi - lo, m * k).var(axis=1)
+        fitted = var_y > 1e-300
+        r2[lo:hi] = 1.0 - fitted * r2[lo:hi] / np.where(fitted, var_y, 1.0)
+        lo, hi = max(0, lo - width), lo
+        if hi > 0:
+            geometry = _regression_geometry(states, lo, hi, ridge)
 
     if degenerate_steps:
         warnings.append(f"regression fell back to intercept-only basis on {degenerate_steps} steps")
@@ -316,7 +368,8 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: Callable[..., np
                  xi0: InitialLaw | None = None, init_states: np.ndarray | None = None,
                  frozen_flow: MeasureFlow | None = None, gamma: float = 1.0,
                  inputs: InputPerturbation | None = None, u0: np.ndarray | None = None,
-                 tol: float = 1e-4, max_iter: int = 60) -> SolutionBundle:
+                 first_pass: ParticleEnsemble | None = None, tol: float = 1e-4,
+                 max_iter: int = 60) -> SolutionBundle:
     """Solve the coupled system on the noise's grid by accelerated Picard iteration on the control.
 
     With ``frozen_flow`` (on the noise's grid) the measure argument stays fixed
@@ -325,6 +378,9 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: Callable[..., np
     ``gamma`` and the tables of ``inputs`` realize the coefficient-scaled
     system with exogenous perturbations: ``simulate_forward`` reads ``b``,
     ``sigma`` and ``sigma_tilde``, the backward solve ``f`` and ``g``.
+    ``first_pass``, when the caller already holds it, is the ensemble that
+    ``simulate_forward`` returns under ``u0`` with these arguments; the first
+    sweep takes it instead of simulating again.
 
     A sweep maps the control u to the pointwise Hamiltonian minimizer along
     the forward and backward solutions under u; f is its residual.  The step
@@ -370,9 +426,11 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: Callable[..., np
     design = None
 
     for it in range(max_iter):
-        ens = simulate_forward(spec, OpenLoopControl(u), noise, xi0,
-                               init_states=init_states, frozen_flow=frozen_flow,
-                               gamma=gamma, inputs=inputs)
+        ens, first_pass = first_pass, None
+        if ens is None:
+            ens = simulate_forward(spec, OpenLoopControl(u), noise, xi0,
+                                   init_states=init_states, frozen_flow=frozen_flow,
+                                   gamma=gamma, inputs=inputs)
         flow = frozen_flow if frozen_flow is not None else ens.flow
         if frozen_flow is None:
             if prev_flow is not None:

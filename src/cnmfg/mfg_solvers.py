@@ -317,8 +317,9 @@ def interval_best_response(spec: ModelSpec, u_hat: np.ndarray, n_lo: int, n_hi: 
     """
     window = noise.window(n_lo, n_hi)
     hat_ens = simulate_forward(spec, OpenLoopControl(u_hat), window, init_states=init_states)
+    # on its own flow, frozen, the population run is the first sweep's forward pass
     return picard_solve(spec, window, terminal, init_states=init_states,
-                        frozen_flow=hat_ens.flow, u0=u_hat, tol=inner_tol)
+                        frozen_flow=hat_ens.flow, u0=u_hat, first_pass=hat_ens, tol=inner_tol)
 
 
 def _interval_fixed_point(spec, u_start, n_lo, n_hi, init_states, terminal, noise,

@@ -16,7 +16,7 @@ random numbers for the strategy and deviation legs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -164,10 +164,12 @@ def nash_gap(spec: ModelSpec, strategy: FeedbackStrategy, n_players: int, grid: 
     replica's common noise, common random numbers between the two legs) are
     simulated following the strategy and following the best response solved
     against the frozen flows, its control iteration started from the strategy
-    leg's controls.  Several replicas are essential: the common loadings of
-    the best-response solve are identified across replicas, keeping the
-    deviation adapted - a single realization would hand it anticipative
-    knowledge of the common path.  Player 1's paired cost
+    leg's controls; a solve that fails is tried once more without the
+    flow-mean covariate of the cross-path regression, and an estimate whose
+    solves both fail is inconclusive.  Several replicas are essential: the
+    common loadings of the best-response solve are identified across
+    replicas, keeping the deviation adapted - a single realization would hand
+    it anticipative knowledge of the common path.  Player 1's paired cost
     difference (copy 0 reuses player 1's noise and initial state) estimates
     the deviation gain, one independent sample per replica.
 
@@ -192,12 +194,24 @@ def nash_gap(spec: ModelSpec, strategy: FeedbackStrategy, n_players: int, grid: 
                                  init_states=init_states, frozen_flow=frozen)
     cost_strat = per_sample_costs(spec, strat_ens.states, strat_ens.controls, frozen, grid)
 
-    # the strategy leg lies within one equilibrium error of the best response;
-    # picard_solve never writes into its u0, and cost_strat is already taken
-    try:
-        dev = picard_solve(spec, dev_noise, terminal_from_cost(spec), init_states=init_states,
-                           frozen_flow=frozen, u0=strat_ens.controls, tol=solver_tol)
-    except SolverError:
+    # the strategy leg lies within one equilibrium error of the best response,
+    # and it is the first sweep's forward pass; picard_solve never writes into
+    # its u0, and cost_strat is already taken.  A replica whose flow mean lies
+    # far from the others' can take nearly all the leverage of the flow-mean
+    # columns of the cross-path regression, and the iteration then stalls.  On
+    # a frozen flow those columns serve only the regression (``measure_coupled``
+    # selects nothing else), so a failed solve is tried again without them.
+    attempts = [spec, replace(spec, measure_coupled=False)] if spec.measure_coupled else [spec]
+    dev = None
+    for attempt in attempts:
+        try:
+            dev = picard_solve(attempt, dev_noise, terminal_from_cost(spec),
+                               init_states=init_states, frozen_flow=frozen,
+                               u0=strat_ens.controls, first_pass=strat_ens, tol=solver_tol)
+            break
+        except SolverError:
+            pass
+    if dev is None:
         return GapEstimate(gap=float("nan"), stderr=float("nan"),
                            cost_strategy=float(np.mean(cost_strat)),
                            cost_deviation=float("nan"), n_players=n_players,

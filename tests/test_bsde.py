@@ -346,6 +346,40 @@ def test_backward_pass_matches_plain_lstsq_reference():
     check(flipped, {n: not use for n, use in plan.items()})
 
 
+def test_blocked_geometry_matches_plain_lstsq_reference(monkeypatch):
+    # 10 steps of 8 x 16 states in blocks of 3 steps: [7, 10), [4, 7), [1, 4) and
+    # the remainder [0, 1); the states of step 5, inside a block, all coincide
+    spec = get_preset("lq_drift_coupled").spec
+    grid = TimeGrid(1.0, 10)
+    noise = NoiseBundle(seed=12, n_paths=8, n_particles=16, grid=grid)
+    rng = np.random.default_rng(5)
+    ens = _ensemble(spec, noise, InitialLaw(kind="normal", mu=1.0, std=0.5),
+                    controls=0.5 * rng.standard_normal((8, 16, 10)))
+    ens.states[:, :, 5] = 0.7
+    terminal = terminal_from_cost(spec)
+    monkeypatch.setattr(bsde, "_GEOMETRY_BLOCK", 3 * 8 * 16)
+    blocks = []
+    real = bsde._regression_geometry
+
+    def recording(states, lo, hi, ridge):
+        blocks.append((lo, hi))
+        return real(states, lo, hi, ridge)
+
+    monkeypatch.setattr(bsde, "_regression_geometry", recording)
+    gate_plan = {}
+    back = solve_bsde_given_control(spec, ens, ens.flow, terminal, noise,
+                                    design=bsde._cross_path_design(spec, ens.flow, noise, gate_plan))
+    assert blocks == [(7, 10), (4, 7), (1, 4), (0, 1)]
+    p, q, qt, r2, degenerate = _reference_backward(
+        spec, ens, noise, terminal, {n: gate_plan[("z2", n)] for n in range(10)})
+    for got, want in ((back.p, p), (back.q, q), (back.q_tilde, qt),
+                      (back.diagnostics["r_squared"], r2)):
+        assert np.max(np.abs(got - want)) < 1e-10
+    assert degenerate == 1
+    assert back.diagnostics["warnings"] == [
+        "regression fell back to intercept-only basis on 1 steps"]
+
+
 def test_picard_never_writes_its_start():
     preset = get_preset("lq")
     grid = TimeGrid(1.0, 10)

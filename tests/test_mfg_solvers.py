@@ -259,6 +259,42 @@ def test_interval_map_shrinks_input_distance():
     assert d_out <= 0.9 * d_in
 
 
+@pytest.mark.parametrize("name", ["lq", "lq_drift_coupled", "tanh_drift"])
+def test_interval_map_takes_the_population_run_as_its_first_pass(monkeypatch, name):
+    # the same best response, bit for bit, as a solve that simulates its first
+    # sweep, with one forward simulation fewer inside the solve
+    from cnmfg import bsde
+
+    spec = get_preset(name).spec
+    noise = small_noise(m=12, k=48, n=40)
+    init = noise.initial_states(XI0)
+    u_hat = 0.3 * np.random.default_rng(3).standard_normal((12, 48, 10))
+    simulations = []
+    real_simulate, real_solve = bsde.simulate_forward, mfg_solvers.picard_solve
+
+    def counting_simulate(*args, **kw):
+        simulations.append(args)
+        return real_simulate(*args, **kw)
+
+    def simulating_solve(*args, first_pass, **kw):
+        return real_solve(*args, **kw)
+
+    monkeypatch.setattr(bsde, "simulate_forward", counting_simulate)
+    bundles, counts = [], []
+    for solve in (real_solve, simulating_solve):
+        monkeypatch.setattr(mfg_solvers, "picard_solve", solve)
+        simulations.clear()
+        bundles.append(interval_best_response(spec, u_hat, 30, 40, init, terminal_from_cost(spec),
+                                              noise, inner_tol=1e-5))
+        counts.append(len(simulations))
+    reused, simulated = bundles
+    for attr in ("states", "controls", "p", "q", "q_tilde"):
+        assert np.array_equal(getattr(reused, attr), getattr(simulated, attr))
+    assert reused.residual_history == simulated.residual_history
+    sweeps = reused.diagnostics["iterations"]
+    assert sweeps >= 2 and counts == [sweeps - 1, sweeps]
+
+
 def test_decoupling_field_fit_and_terminal():
     rng = np.random.default_rng(3)
     states = rng.normal(size=(6, 40))

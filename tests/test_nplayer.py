@@ -261,7 +261,7 @@ def test_deviation_solve_starts_from_the_strategy_leg(monkeypatch):
 
     def recording_solve(*args, **kw):
         warm = picard_solve(*args, **kw)
-        cold = picard_solve(*args, **dict(kw, u0=None))
+        cold = picard_solve(*args, **dict(kw, u0=None, first_pass=None))
         solves.append((kw["u0"], warm, cold))
         return warm
 
@@ -274,3 +274,70 @@ def test_deviation_solve_starts_from_the_strategy_leg(monkeypatch):
     # the strategy leg is the last forward simulation before the solve
     assert u0 is legs[-1].controls
     assert warm.diagnostics["iterations"] < cold.diagnostics["iterations"]
+
+
+@pytest.mark.parametrize("name", ["lq", "lq_drift_coupled", "tanh_drift"])
+def test_deviation_solve_takes_the_strategy_leg_as_its_first_pass(monkeypatch, name):
+    # the same estimate, bit for bit, as a solve that simulates its first sweep,
+    # with one forward simulation fewer inside the solve
+    from cnmfg import bsde, nplayer
+
+    spec = get_preset(name).spec
+    strat = FeedbackStrategy.from_riccati(solve_riccati(get_preset("lq").lq_params, SHORT))
+    simulations, sweeps = [], []
+    real_simulate, real_solve = bsde.simulate_forward, nplayer.picard_solve
+
+    def counting_simulate(*args, **kw):
+        simulations.append(args)
+        return real_simulate(*args, **kw)
+
+    def counting_solve(*args, **kw):
+        bundle = real_solve(*args, **kw)
+        sweeps.append(bundle.diagnostics["iterations"])
+        return bundle
+
+    def simulating_solve(*args, first_pass, **kw):
+        return counting_solve(*args, **kw)
+
+    monkeypatch.setattr(bsde, "simulate_forward", counting_simulate)
+    estimates, counts = [], []
+    for solve in (counting_solve, simulating_solve):
+        monkeypatch.setattr(nplayer, "picard_solve", solve)
+        simulations.clear()
+        estimates.append(nash_gap(spec, strat, 4, SHORT, XI0, 21, n_copies=16, n_replicas=8,
+                                  solver_tol=1e-3))
+        counts.append(len(simulations))
+    reused, simulated = estimates
+    assert not reused.inconclusive
+    assert reused.to_dict() == simulated.to_dict()
+    assert sweeps[0] == sweeps[1] >= 2
+    assert counts == [sweeps[0] - 1, sweeps[0]]
+
+
+def test_stalled_deviation_solve_is_retried_without_the_flow_mean_covariate(monkeypatch):
+    # the bench's nash_small game at seed 138011 and N = 16: replica 10's flow
+    # mean (1.67 at mid-horizon, the others' 0.76-0.99) holds 0.9-0.98 of the
+    # leverage of the flow-mean columns at most steps, and with them the
+    # deviation iteration stalls at a residual near 0.1
+    import cnmfg.nplayer as nplayer
+
+    preset = get_preset("lq")
+    grid = TimeGrid(1.0, 25)
+    strat = FeedbackStrategy.from_riccati(solve_riccati(preset.lq_params, grid))
+    attempts = []
+
+    def recording_solve(spec, *args, **kw):
+        try:
+            bundle = picard_solve(spec, *args, **kw)
+        except SolverError:
+            attempts.append((spec.measure_coupled, False))
+            raise
+        attempts.append((spec.measure_coupled, True))
+        return bundle
+
+    monkeypatch.setattr(nplayer, "picard_solve", recording_solve)
+    g = nash_gap(preset.spec, strat, 16, grid, XI0, 138011, n_copies=32, n_replicas=12,
+                 solver_tol=1e-3)
+    assert attempts == [(True, False), (False, True)]
+    assert not g.inconclusive
+    assert 0.0 <= g.gap < 0.01
