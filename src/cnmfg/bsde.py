@@ -452,17 +452,16 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: Callable[..., np
         back = solve_bsde_given_control(spec, ens, flow, terminal, noise, gamma=gamma,
                                         inputs=inputs, design=design)
 
-        # the Newton minimizer starts from the current control, within one
-        # Picard step of its root from the second sweep on.  A full history
-        # lends its oldest residual's buffer to the new one: only their dot
-        # product is still needed, and it is taken node by node before the write
+        # a full history lends its oldest residual's buffer to the new one:
+        # only their dot product is still needed, and it is taken node by node
+        # before the write
         oldest = fs[0] if len(fs) == _ANDERSON_DEPTH else None
         f = np.empty_like(u) if oldest is None else oldest
         dot_oldest = 0.0
         for n in range(grid.n_steps):
             f_n = minimize_hamiltonian_values(
                 spec, grid.nodes[n], ens.states[:, :, n], back.p[:, :, n],
-                back.q[:, :, n], back.q_tilde[:, :, n], u0=u[:, :, n])
+                back.q[:, :, n], back.q_tilde[:, :, n])
             f_n -= u[:, :, n]
             if oldest is not None:
                 dot_oldest += float(np.einsum("jk,jk->", f_n, oldest[:, :, n]))

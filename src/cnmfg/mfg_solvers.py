@@ -41,7 +41,7 @@ import numpy as np
 
 from .bsde import (SolutionBundle, control_rms, first_order_residual, picard_solve,
                    solution_distance, terminal_from_cost)
-from .errors import ModelError, SimulationError, SolverError
+from .errors import SimulationError, SolverError
 from .forward_sim import (InitialLaw, InputPerturbation, NoiseBundle, OpenLoopControl,
                           particle_array, simulate_forward)
 from .measures import MeasureFlow
@@ -149,20 +149,20 @@ def solve_continuation(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle,
     direct solve of the full system on ``noise`` at ``inner_tol``; that fine
     finish is the returned bundle, and the returned state is the walk's, its
     bundle on the walk's grid.  If the coarse walk or the fine finish raises a
-    SolverError, SimulationError or ModelError, the walk is run again on the
-    fine grid from gamma = 0, and its bundle is returned.  When that walk
-    fails too, its SolverError's history gains ``coarse_failure``, the coarse
-    attempt's message.  A coarse walk need only follow the path (intermediate
-    stages are loose anyway); solving coarse and correcting fine is nested
-    iteration (Brandt, Math. Comp. 31, 1977).
+    SolverError or SimulationError, the walk is run again on the fine grid
+    from gamma = 0, and its bundle is returned.  When that walk fails too, its
+    SolverError's history gains ``coarse_failure``, the coarse attempt's
+    message.  A coarse walk need only follow the path (intermediate stages are
+    loose anyway); solving coarse and correcting fine is nested iteration
+    (Brandt, Math. Comp. 31, 1977).
 
     Each advance gamma -> gamma + eta of a walk iterates: assemble inputs eta
     * (model coefficients along the current iterate), solve the gamma-scaled
     system with those inputs warm-started from the iterate, measure the
     solution-norm distance.  eta is halved when the observed ratio reaches 0.9
     (and the step retried), doubled back toward eta0 after two clean steps,
-    and the solver stalls out below eta = 1e-3.  An inner SolverError,
-    SimulationError or ModelError fails the step too.
+    and the solver stalls out below eta = 1e-3.  An inner SolverError or
+    SimulationError fails the step too.
 
     The inner solves are inexact (a forcing-term rule, as in inexact Newton
     methods): outer iteration k solves to max(inner_tol, _FORCING * d_{k-1}),
@@ -186,7 +186,7 @@ def solve_continuation(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle,
             bundle = solve_scaled_fbsde(spec, 1.0, xi0, None, noise, u0=u0, tol=inner_tol,
                                         max_iter=max_iter_inner)
             return bundle, state
-        except (SolverError, SimulationError, ModelError) as err:
+        except (SolverError, SimulationError) as err:
             coarse_failure = err
     try:
         state = _walk(noise, *walk)
@@ -222,8 +222,8 @@ def _walk(noise: NoiseBundle, spec: ModelSpec, xi0: InitialLaw, eta0: float, tol
             try:
                 nxt = solve_scaled_fbsde(spec, state.gamma, xi0, inputs, noise,
                                          u0=iterate.controls, tol=inner, max_iter=max_iter_inner)
-            # an inner cap, flow divergence, non-finite state or minimizer failure fails the step
-            except (SolverError, SimulationError, ModelError) as err:
+            # an inner cap, flow divergence or non-finite state fails the step
+            except (SolverError, SimulationError) as err:
                 failure = err
                 break
             d = solution_distance(nxt, iterate)
@@ -364,9 +364,9 @@ def solve_stitched(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle, *,
     (rightmost first, terminal cost gradient at the right end, fitted fields
     further left) from provisional boundary states; a forward pass re-solves
     every interval from achieved states and concatenates controls.  Any
-    SolverError in a pass (no contraction, an inner cap, a non-monotone field),
-    SimulationError or ModelError halves the interval length and restarts, up
-    to ``max_halvings`` times.  The returned bundle's diagnostics hold its
+    SolverError in a pass (no contraction, an inner cap, a non-monotone field)
+    or SimulationError halves the interval length and restarts, up to
+    ``max_halvings`` times.  The returned bundle's diagnostics hold its
     ``first_order_residual``.
     """
     n = noise.grid.n_steps
@@ -383,7 +383,7 @@ def solve_stitched(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle, *,
         try:
             return _run_stitch(spec, xi0, noise, bounds, tol, inner_tol, max_fp_iter,
                                global_passes, init_full, halving)
-        except (SolverError, SimulationError, ModelError) as err:
+        except (SolverError, SimulationError) as err:
             frac /= 2.0
             failure = err
     raise SolverError(f"interval fixed point failed to contract after {max_halvings} halvings; "

@@ -76,11 +76,11 @@ class CostSpec:
     pieces ``f1``, ``f1x``, ``g``, ``gx`` each take one law ``m`` that they
     read through ``m.mean`` and ``m.atoms`` only, so the same callable serves a
     single ``EmpiricalMeasure`` and a per-path ``PathLaws`` view.
-    ``convexity_u`` is the strict-convexity modulus of f0 in u, so f0u rises
-    in u with slope at least 2 * convexity_u; the Newton minimizer takes its
-    bracket from that bound.  ``f0u_slope`` is set when f0u is linear in u
-    (closed-form minimizer); otherwise ``f0uu`` must be provided for the
-    Newton path.
+    ``convexity_u`` is the strict-convexity modulus of f0 in u.  The cost
+    declares its u-derivative as the polynomial f0u(t, x, u) = f0u(t, x, 0) +
+    ``f0u_slope`` u + ``f0u_cubic`` u^3, with slope >= 2 convexity_u and cubic
+    >= 0, so that the minimizer solves its first-order condition in closed
+    form; construction checks the declaration at a few points.
     """
 
     f0: Callable[[float, ArrayLike, ArrayLike], ArrayLike]
@@ -91,14 +91,21 @@ class CostSpec:
     g: Callable[[ArrayLike, Law], ArrayLike]
     gx: Callable[[ArrayLike, Law], ArrayLike]
     convexity_u: float
-    f0u_slope: float | None = None
-    f0uu: Callable[[float, ArrayLike, ArrayLike], ArrayLike] | None = None
+    f0u_slope: float
+    f0u_cubic: float = 0.0
 
     def __post_init__(self):
         if self.convexity_u <= 0:
             raise ModelError("strict convexity modulus in u must be positive")
-        if self.f0u_slope is None and self.f0uu is None:
-            raise ModelError("need either a linear f0u slope or f0uu for the minimizer")
+        if not self.f0u_slope >= 2.0 * self.convexity_u:
+            raise ModelError("f0u_slope must be at least 2 * convexity_u")
+        if not self.f0u_cubic >= 0.0:
+            raise ModelError("f0u_cubic must be nonnegative")
+        u = np.array([-1.0, 1.0, 2.0])
+        rise = np.asarray(self.f0u(0.0, u, u)) - np.asarray(self.f0u(0.0, u, np.zeros(3)))
+        declared = self.f0u_slope * u + self.f0u_cubic * u ** 3
+        if not np.all(np.abs(rise - declared) <= 1e-9 * np.abs(declared)):
+            raise ModelError("f0u disagrees with its declared f0u_slope and f0u_cubic")
 
 
 @dataclass
@@ -173,59 +180,29 @@ def control_loading(spec: ModelSpec, t: float, p: ArrayLike, q: ArrayLike,
             + spec.vol_common.phi2(t) * np.asarray(q_tilde, dtype=float))
 
 
-_ROOT_TOL = 1e-10
-
-
 def minimize_hamiltonian_values(spec: ModelSpec, t: float, x: np.ndarray, p: np.ndarray,
-                                q: np.ndarray, q_tilde: np.ndarray,
-                                u0: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized Hamiltonian minimizer: solves the first-order condition in u.
+                                q: np.ndarray, q_tilde: np.ndarray) -> np.ndarray:
+    """Vectorized Hamiltonian minimizer: the root of the first-order condition in u.
 
-    The condition h(u) = b2 p + sigma2 q + sigma_tilde2 qt + f0u(t, x, u) = 0
-    has a unique root because h is strictly increasing in u with slope at
-    least 2 * convexity_u.  Linear f0u gives the closed form.  Otherwise a
-    Newton iteration with bisection safeguard starts at ``u0`` (default 0; a
-    warm start near the root saves iterations): the slope bound puts the root
-    between u0 and u0 - h(u0) / (2 convexity_u), so that one residual brackets
-    it.  A cost whose slope falls below the bound can leave the root outside
-    the bracket, which ends in ``ModelError``.  A non-finite residual stops
-    the iteration at once and comes back as NaN in its elements.
+    The condition b2 p + sigma2 q + sigma_tilde2 qt + f0u(t, x, u) = 0 reads
+    slope u + cubic u^3 + c = 0, c the loading plus f0u(t, x, 0).  With no
+    cubic term the root is -c / slope.  Otherwise it is the one real root of
+    u^3 + a u + b = 0, a = slope / cubic > 0 and b = c / cubic, in Cardano's
+    form written without cancellation: with w the cube root of |b| / 2 +
+    sqrt(b^2 / 4 + a^3 / 27), u = -b / (w^2 + a / 3 + (a / (3 w))^2), a
+    denominator of positive terms.  A NaN or infinite c gives NaN.
     """
     x = np.asarray(x, dtype=float)
     const = control_loading(spec, t, p, q, q_tilde)
     cost = spec.cost
-    if cost.f0u_slope is not None:
-        zero = np.zeros_like(x)
+    zero = np.zeros_like(x)
+    if not cost.f0u_cubic:
         return -(const + np.asarray(cost.f0u(t, x, zero))) / cost.f0u_slope
-
-    def h(u):
-        return np.asarray(cost.f0u(t, x, u)) + const
-
-    two_cf = 2.0 * spec.C_f
-    u = np.zeros_like(x) if u0 is None else np.array(u0, dtype=float)
-    fu = h(u)
-    edge = u - fu / two_cf
-    lo, hi = np.minimum(u, edge), np.maximum(u, edge)
-    for _ in range(100):
-        worst = np.max(np.abs(fu))
-        if not worst > _ROOT_TOL:
-            break
-        lo = np.where(fu < 0, u, lo)
-        hi = np.where(fu > 0, u, hi)
-        slope = np.maximum(np.asarray(cost.f0uu(t, x, u)), two_cf)
-        step = u - fu / slope
-        # the bracket is closed: an element whose step rounds onto its own
-        # point, an end of the bracket, has converged and must not be sent
-        # to the midpoint while the others iterate
-        inside = (step >= lo) & (step <= hi)
-        u = np.where(inside, step, 0.5 * (lo + hi))
-        fu = h(u)
-    else:
-        worst = np.max(np.abs(fu))
-        if worst > 1e-6:
-            raise ModelError("minimizer did not converge: invalid cost specification")
-    # a NaN residual is handed on, so that its start is never taken for a root
-    return np.where(np.isnan(fu), fu, u) if np.isnan(worst) else u
+    a3 = cost.f0u_slope / cost.f0u_cubic / 3.0
+    b = (const + np.asarray(cost.f0u(t, x, zero))) / cost.f0u_cubic
+    # hypot keeps b^2 / 4 from overflowing, and (a/3)^(3/2) stands for sqrt(a^3 / 27)
+    w = np.cbrt(0.5 * np.abs(b) + np.hypot(0.5 * b, a3 * math.sqrt(a3)))
+    return -b / (w * w + a3 + (a3 / w) ** 2)
 
 
 def minimize_hamiltonian(spec: ModelSpec, t: float, x: float, p: float, q: float,
@@ -591,9 +568,6 @@ def _quadratic_cost(cu, cx, c1, lam, cg0, cg, lamg, quartic_x=0.0, quartic_u=0.0
             out = out + 4.0 * quartic_u * (np.asarray(u) * u * u)
         return out
 
-    def f0uu(t, x, u):
-        return 2.0 * cu + 12.0 * quartic_u * np.asarray(u) ** 2
-
     def f1_of(x, mean):
         out = c1 * (np.asarray(x) - lam * mean) ** 2
         if quartic_x:
@@ -620,8 +594,8 @@ def _quadratic_cost(cu, cx, c1, lam, cg0, cg, lamg, quartic_x=0.0, quartic_u=0.0
         g=lambda x, m: g_of(x, m.mean),
         gx=lambda x, m: gx_of(x, m.mean),
         convexity_u=cu,
-        f0u_slope=None if quartic_u else 2.0 * cu,
-        f0uu=f0uu,
+        f0u_slope=2.0 * cu,
+        f0u_cubic=4.0 * quartic_u,
     )
 
 

@@ -24,8 +24,8 @@ def quadratic_cost(cu=1.0, cx=0.0, quartic_u=0.0) -> CostSpec:
         g=lambda x, m: 0.0 * np.asarray(x),
         gx=lambda x, m: 0.0 * np.asarray(x),
         convexity_u=cu,
-        f0u_slope=None if quartic_u else 2 * cu,
-        f0uu=lambda t, x, u: 2 * cu + 12 * quartic_u * np.asarray(u) ** 2,
+        f0u_slope=2 * cu,
+        f0u_cubic=4 * quartic_u,
     )
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from cnmfg import mfg_solvers
 from cnmfg.bsde import control_rms, solution_distance, solution_norm, terminal_from_cost
-from cnmfg.errors import ModelError, SimulationError, SolverError
+from cnmfg.errors import SimulationError, SolverError
 from cnmfg.forward_sim import InitialLaw, InputPerturbation, NoiseBundle, TimeGrid
 from cnmfg.lq_oracle import oracle_solution
 from cnmfg.measures import EmpiricalMeasure
@@ -442,8 +442,7 @@ def _failing_picard(monkeypatch, error, fail):
     return raised
 
 
-@pytest.mark.parametrize("error", [SimulationError("non-finite state at step 3", step=3),
-                                   ModelError("minimizer did not converge")])
+@pytest.mark.parametrize("error", [SimulationError("non-finite state at step 3", step=3)])
 def test_continuation_recovers_from_a_non_solver_inner_failure(monkeypatch, error):
     # the first inner solve at gamma > 0 (the second stage's) fails once: the
     # step's eta is halved and the solve still reaches gamma = 1

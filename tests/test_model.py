@@ -1,6 +1,9 @@
 """Hamiltonian machinery, minimizer, validators, smallness conditions."""
 
+import dataclasses
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -236,60 +239,74 @@ def _quartic_inputs(n=200, seed=13):
     return spec, (0.3, x, p, q, qt)
 
 
-def _reference_root(spec, args, centre):
-    # |h(u)| <= tol puts u within tol / (2 C_f) of the root, so the root lies
-    # in [centre - 1, centre + 1]; bisection there runs down to the last bit
-    t, x, p, q, qt = args
-    const = spec.drift.phi2(t) * p + spec.vol.phi2(t) * q + spec.vol_common.phi2(t) * qt
-    lo, hi = centre - 1.0, centre + 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        above = spec.cost.f0u(t, x, mid) + const > 0
-        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
-    return 0.5 * (lo + hi)
+def _decimal_root(slope, cubic, c):
+    """Root of slope u + cubic u^3 + c = 0 by Newton's method at 60 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        s, k, c = Decimal(slope), Decimal(cubic), Decimal(c)
+        if c == 0:
+            return 0.0
+        # both bounds hold for |root|; from one on the root's side Newton's
+        # steps on this cubic fall monotonically onto the root
+        size = min(abs(c) / s, (abs(c) / k) ** (Decimal(1) / 3))
+        u = -size if c > 0 else size
+        for _ in range(500):
+            step = (s * u + k * u ** 3 + c) / (s + 3 * k * u * u)
+            u -= step
+            if abs(step) <= abs(u) * Decimal("1e-55"):
+                break
+        return float(u)
 
 
-def test_minimizer_warm_start_agrees_with_cold_root():
-    spec, args = _quartic_inputs()
-    bound = 1e-10 / (2 * spec.C_f)
-    cold = minimize_hamiltonian_values(spec, *args)
-    root = _reference_root(spec, args, cold)
-    assert np.max(np.abs(cold - root)) <= bound
-    for shift in (0.0, 0.01, -0.01, 1e3, -1e3):
-        warm = minimize_hamiltonian_values(spec, *args, u0=root + shift)
-        assert np.max(np.abs(warm - cold)) <= bound, shift
-        assert np.max(np.abs(warm - root)) <= bound, shift
-
-
-def test_minimizer_started_at_its_root_evaluates_f0u_once():
-    spec, args = _quartic_inputs()
-    root = minimize_hamiltonian_values(spec, *args)
-    calls = count_f0u_calls(spec.cost)
-    out = minimize_hamiltonian_values(spec, *args, u0=root)
-    assert np.array_equal(out, root) and out is not root
-    assert calls[0] == 1
-
-
-def test_minimizer_cost_below_its_convexity_bound_raises():
-    # f0u = 2u + 0.4u^3 rises with slope 2, but the cost claims 2 C_f = 10: the
-    # bracket [u0 - h(u0) / 10, u0] misses the root and collapses onto a point
-    # whose residual stays large
+@pytest.mark.parametrize("cu, quartic_u", [(1.0, 0.3), (0.05, 2.0), (4.0, 1e-3)])
+def test_minimizer_cubic_root_matches_a_60_digit_reference(cu, quartic_u):
+    # b2 = 1, no volatility loading and f0u(t, x, 0) = 0 at x = 0: the
+    # first-order condition's constant is p itself
     spec = simple_spec(b2=1.0)
-    spec.cost = quadratic_cost(cu=1.0, quartic_u=0.1)
-    spec.cost.convexity_u = 5.0
-    with pytest.raises(ModelError, match="did not converge"):
-        minimize_hamiltonian_values(spec, 0.0, np.zeros(3), np.array([5.0, 1.0, -3.0]),
-                                    np.zeros(3), np.zeros(3))
+    spec.cost = quadratic_cost(cu=cu, quartic_u=quartic_u)
+    sweep = 10.0 ** np.linspace(-12.0, 12.0, 49)
+    c = np.concatenate([[0.0, 1e-300, -1e-300, 1e300, -1e300], sweep, -sweep])
+    zero = np.zeros_like(c)
+    u = minimize_hamiltonian_values(spec, 0.0, zero, c, zero, zero)
+    for ci, ui in zip(c, u):
+        ref = _decimal_root(spec.cost.f0u_slope, spec.cost.f0u_cubic, ci)
+        assert abs(ui - ref) <= 1e-15 * abs(ref), (ci, ui, ref)
+
+
+def test_minimizer_linear_branch_is_the_plain_quotient():
+    for name in ("lq", "lq_small_bu", "mean_reverting"):
+        spec = get_preset(name).spec
+        t, x, p, q, qt = 0.3, *np.random.default_rng(29).uniform(-4, 4, size=(4, 8, 16))
+        const = spec.drift.phi2(t) * p + spec.vol.phi2(t) * q + spec.vol_common.phi2(t) * qt
+        expected = -(const + spec.cost.f0u(t, x, np.zeros_like(x))) / spec.cost.f0u_slope
+        assert np.array_equal(minimize_hamiltonian_values(spec, t, x, p, q, qt), expected), name
+
+
+def test_cost_that_misdeclares_its_polynomial_raises_when_built():
+    cost = quadratic_cost(cu=1.0, quartic_u=0.1)    # f0u = 2u + 0.4u^3
+    for change, field in (({"convexity_u": 5.0}, "f0u_slope"), ({"f0u_slope": 0.0}, "f0u_slope"),
+                          ({"f0u_slope": math.nan}, "f0u_slope"), ({"f0u_cubic": -0.4}, "f0u_cubic"),
+                          ({"f0u_cubic": 0.0}, "f0u_cubic"), ({"f0u_slope": 3.0}, "f0u_slope")):
+        with pytest.raises(ModelError, match=field):
+            dataclasses.replace(cost, **change)
+    # the offset f0u(t, x, 0) lies outside the declared polynomial: here it is
+    # 1 + x, which p = -3 cancels at x = 2
+    spec = simple_spec(b2=1.0)
+    spec.cost = dataclasses.replace(cost, f0u=lambda t, x, u: cost.f0u(t, x, u) + 1.0 + np.asarray(x))
+    assert minimize_hamiltonian(spec, 0.0, 2.0, -3.0, 0.0, 0.0) == 0.0
 
 
 def test_minimizer_hands_on_nan_without_iterating():
     spec, (t, x, p, q, qt) = _quartic_inputs(n=50)
-    start = np.ones_like(x)
     calls = count_f0u_calls(spec.cost)
-    out = minimize_hamiltonian_values(spec, t, x, np.full_like(p, np.nan), q, qt, u0=start)
-    assert np.isnan(out).all() and calls[0] == 1
-    # one NaN element is NaN in the result, so a finite start is never taken for a root
+    for bad in (np.nan, np.inf, -np.inf):
+        # an infinite b makes the root inf / inf, which numpy warns of
+        with np.errstate(invalid="ignore"):
+            out = minimize_hamiltonian_values(spec, t, x, np.full_like(p, bad), q, qt)
+        assert np.isnan(out).all(), bad
+    assert calls[0] == 3
+    # one NaN element is NaN in the result, and the others are untouched
+    clean = minimize_hamiltonian_values(spec, t, x, p, q, qt)
     p[7] = np.nan
-    out = minimize_hamiltonian_values(spec, t, x, p, q, qt, u0=start)
-    assert np.isnan(out[7]) and np.isfinite(np.delete(out, 7)).all()
-    assert np.array_equal(start, np.ones_like(x))
+    out = minimize_hamiltonian_values(spec, t, x, p, q, qt)
+    assert np.isnan(out[7]) and np.array_equal(np.delete(out, 7), np.delete(clean, 7))
