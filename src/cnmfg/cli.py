@@ -112,7 +112,7 @@ def cmd_solve(args) -> int:
     t0 = timer()
     ratios: list = []
     schedule: list = []
-    walk_steps = None
+    walk_steps = coarse_failure = None
     method = cfg.method
     if u0 is not None:
         # resuming re-solves the fully coupled system warm-started from the
@@ -125,7 +125,7 @@ def cmd_solve(args) -> int:
                                            tol=tol, max_iter_inner=cfg.max_iter)
         schedule = state.schedule()
         ratios = [s.ratio for s in state.steps]
-        walk_steps = state.walk_steps
+        walk_steps, coarse_failure = state.walk_steps, state.coarse_failure
     elif cfg.method == "stitched":
         bundle, rep = solve_stitched(preset.spec, xi0, noise, tol=tol,
                                      interval_fraction=cfg.interval_fraction,
@@ -152,7 +152,7 @@ def cmd_solve(args) -> int:
         "warnings": bundle.diagnostics.get("warnings", []),
         "wall_clock_seconds": elapsed, "artifact_version": __version__,
         "extra": {"iterations": bundle.diagnostics.get("iterations"),
-                  "walk_steps": walk_steps,
+                  "walk_steps": walk_steps, "coarse_failure": coarse_failure,
                   "cost": cost_functional(preset.spec, bundle),
                   "regression_r2_min": (float(np.min(bundle.diagnostics["r_squared"]))
                                         if "r_squared" in bundle.diagnostics else None)},

@@ -11,8 +11,8 @@ solvers implement numerically:
   needs (a forcing term).  A stage before the last only has to stay near the
   continuation path: it is accepted at a loose outer distance, on whatever
   inner tolerance the forcing term gave.  The last stage is accepted only on
-  a solve at the full inner tolerance.  The walk runs on a time grid up to
-  four times coarser, with the same Brownian paths; its gamma = 1 control,
+  a solve at the full inner tolerance.  The walk runs on one time step over
+  the whole horizon, with the same Brownian paths; its gamma = 1 control,
   held over the fine steps, starts one direct solve on the fine grid.  If
   either fails, the walk is run again on the fine grid.
 
@@ -51,8 +51,6 @@ from .model import ModelSpec, hamiltonian_dx
 _FORCING = 0.05
 # outer distance, per unit of tol, at which a stage before the last is accepted
 _PATH_TOL = 40.0
-# largest number of fine time steps that one step of the continuation walk spans
-_MAX_COARSENING = 4
 
 
 def solve_scaled_fbsde(spec: ModelSpec, gamma: float, xi0: InitialLaw,
@@ -115,10 +113,13 @@ class ContinuationState:
     eta: float
     bundle: SolutionBundle      # on the grid the walk runs on
     steps: list = field(default_factory=list)
+    # the one-step attempt's error when the walk fell back to the fine grid
+    coarse_failure: str | None = None
 
     @property
     def walk_steps(self) -> int:
-        """Time steps of the grid that the stages were walked on."""
+        """Time steps of the grid that the stages were walked on: 1, or the
+        fine grid's after a fallback."""
         return self.bundle.grid.n_steps
 
     def schedule(self) -> list:
@@ -132,29 +133,26 @@ def _observed_ratio(distances: list[float], floor: float) -> float:
     return float(max(ratios))
 
 
-def _coarsening(n_steps: int) -> int:
-    """The largest factor up to ``_MAX_COARSENING`` that divides ``n_steps``; 1 if none does."""
-    return next((f for f in range(_MAX_COARSENING, 1, -1) if n_steps % f == 0), 1)
-
-
 def solve_continuation(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle,
                        *, eta0: float = 0.25, tol: float = 1e-4, max_picard: int = 30,
                        inner_tol: float | None = None, max_iter_inner: int = 60
                        ) -> tuple[SolutionBundle, ContinuationState]:
-    """Walk the coupling scale from 0 to 1 on a coarse grid, then solve once on the fine one.
+    """Walk the coupling scale from 0 to 1 on one time step, then solve once on the fine grid.
 
-    The walk runs on ``noise.coarsened(f)``, with f the largest divisor of the
-    step count up to ``_MAX_COARSENING`` (on the fine grid if there is none).
-    Its gamma = 1 control, held over each run of f fine steps, starts one
-    direct solve of the full system on ``noise`` at ``inner_tol``; that fine
-    finish is the returned bundle, and the returned state is the walk's, its
-    bundle on the walk's grid.  If the coarse walk or the fine finish raises a
-    SolverError or SimulationError, the walk is run again on the fine grid
-    from gamma = 0, and its bundle is returned.  When that walk fails too, its
-    SolverError's history gains ``coarse_failure``, the coarse attempt's
-    message.  A coarse walk need only follow the path (intermediate stages are
-    loose anyway); solving coarse and correcting fine is nested iteration
-    (Brandt, Math. Comp. 31, 1977).
+    The walk runs on ``noise.coarsened(n_steps)``, one step over the whole
+    horizon with the summed increments.  Its gamma = 1 control, held over
+    every fine step, starts one direct solve of the full system on ``noise``
+    at ``inner_tol``; that fine finish is the returned bundle, and the
+    returned state is the walk's, its bundle on the one-step grid.  If the
+    coarse walk or the fine finish raises a SolverError or SimulationError,
+    the walk is run again on the fine grid from gamma = 0, its bundle is
+    returned, and the state's ``coarse_failure`` holds the coarse attempt's
+    message.  When that walk fails too, its SolverError's history gains the
+    same ``coarse_failure``.  A one-step grid is walked on its own step, and
+    the walk's bundle is the result.  The walk costs about the same number of
+    sweeps on any grid and only has to follow the path (intermediate stages
+    are loose anyway), so it runs on the cheapest grid; solving coarse and
+    correcting fine is nested iteration (Brandt, Math. Comp. 31, 1977).
 
     Each advance gamma -> gamma + eta of a walk iterates: assemble inputs eta
     * (model coefficients along the current iterate), solve the gamma-scaled
@@ -177,23 +175,24 @@ def solve_continuation(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle,
     """
     inner_tol = inner_tol if inner_tol is not None else max(tol / 5.0, 1e-7)
     walk = (spec, xi0, eta0, tol, max_picard, inner_tol, max_iter_inner)
-    f = _coarsening(noise.grid.n_steps)
+    n = noise.grid.n_steps
     coarse_failure = None
-    if f > 1:
+    if n > 1:
         try:
-            state = _walk(noise.coarsened(f), *walk)
-            u0 = np.repeat(state.bundle.controls.transpose(2, 0, 1), f, axis=0).transpose(1, 2, 0)
+            state = _walk(noise.coarsened(n), *walk)
+            u0 = np.repeat(state.bundle.controls.transpose(2, 0, 1), n, axis=0).transpose(1, 2, 0)
             bundle = solve_scaled_fbsde(spec, 1.0, xi0, None, noise, u0=u0, tol=inner_tol,
                                         max_iter=max_iter_inner)
             return bundle, state
         except (SolverError, SimulationError) as err:
-            coarse_failure = err
+            coarse_failure = str(err)
     try:
         state = _walk(noise, *walk)
     except SolverError as err:
         if coarse_failure is not None:
-            err.history["coarse_failure"] = str(coarse_failure)
+            err.history["coarse_failure"] = coarse_failure
         raise
+    state.coarse_failure = coarse_failure
     return state.bundle, state
 
 

@@ -156,7 +156,8 @@ def test_solve_artifacts_and_determinism(tmp_path, capsys):
                          "residual_history", "contraction_ratios", "schedule",
                          "condition_report", "first_order_residual", "solution_norm",
                          "warnings", "wall_clock_seconds", "artifact_version", "extra"}
-    assert set(rep1["extra"]) == {"iterations", "walk_steps", "cost", "regression_r2_min"}
+    assert set(rep1["extra"]) == {"iterations", "walk_steps", "coarse_failure", "cost",
+                                  "regression_r2_min"}
     # bit-for-bit reproducibility, wall clock aside; the arrays are compared
     # rather than the archive bytes, whose zip members carry timestamps
     assert main(["solve", "--config", str(path)]) == 0
@@ -239,9 +240,11 @@ def test_solver_methods_run(tmp_path):
                             solver={"method": method, "tol": 2e-3},
                             output_dir=str(tmp_path / method), **extra)
         assert main(["solve", "--config", str(path)]) == 0
-        # continuation walks the 20-step grid on 5 steps; the report says so
+        # continuation walks the 20-step grid on 1 step, and the coarse
+        # attempt holds; the report says so
         report = json.loads((tmp_path / method / "report.json").read_text())
-        assert report["extra"]["walk_steps"] == (5 if method == "continuation" else None)
+        assert report["extra"]["walk_steps"] == (1 if method == "continuation" else None)
+        assert report["extra"]["coarse_failure"] is None
 
 
 def test_validate_exit_codes(tmp_path):

@@ -299,6 +299,13 @@ def test_coarsened_noise_sums_runs_of_fine_increments():
         assert np.array_equal(coarse.dW, sum(seeded.dW[:, :, i::f] for i in range(f)))
         assert np.array_equal(coarse.dW_common, sum(seeded.dW_common[:, i::f] for i in range(f)))
         assert np.array_equal(coarse.initial_states(law), seeded.initial_states(law))
+    # one step over the horizon: its increment is the sum of all fine ones (a
+    # run of 12 may be summed pairwise, so the order is not pinned)
+    coarse = seeded.coarsened(12)
+    assert coarse.grid == TimeGrid(2.0, 1)
+    assert np.allclose(coarse.dW[:, :, 0], seeded.dW.sum(axis=2), rtol=0, atol=1e-14)
+    assert np.allclose(coarse.dW_common[:, 0], seeded.dW_common.sum(axis=1), rtol=0, atol=1e-14)
+    assert np.array_equal(coarse.initial_states(law), seeded.initial_states(law))
     with pytest.raises(SimulationError, match="no coarsening"):
         seeded.coarsened(5)
 

@@ -78,8 +78,8 @@ def test_continuation_inner_solves_are_inexact_until_accepted(monkeypatch):
     # distance asks, the first of an attempt to one sweep; a stage before the
     # last is accepted after two iterations at distance 40 tol, whatever its
     # inner tolerance, and the last stage only on a solve at inner_tol.  The
-    # 30-step grid is walked on 10 steps, and one direct solve at inner_tol
-    # on the 30 steps finishes it
+    # 30-step grid is walked on 1 step, and one direct solve at inner_tol on
+    # the 30 steps finishes it
     preset = get_preset("lq")
     noise = small_noise(m=16, k=48, n=30)
     tol = 2e-4
@@ -96,10 +96,10 @@ def test_continuation_inner_solves_are_inexact_until_accepted(monkeypatch):
     monkeypatch.setattr(mfg_solvers, "solve_scaled_fbsde", recorded)
     bundle, state = solve_continuation(preset.spec, XI0, noise, tol=tol)
     assert state.gamma == pytest.approx(1.0)
-    assert state.walk_steps == 10
+    assert state.walk_steps == 1 and state.coarse_failure is None
     assert calls[0][:2] == (0.0, inner_tol)    # the gamma = 0 start
     walk, finish = calls[1:-1], calls[-1]
-    assert all(c[3] == 10 for c in calls[:-1])
+    assert all(c[3] == 1 for c in calls[:-1])
     assert all(t >= inner_tol for _, t, *_ in walk)
     # every attempt was accepted here, so the stages cover the outer solves
     assert len(walk) == sum(step.iterations for step in state.steps)
@@ -120,10 +120,10 @@ def test_continuation_inner_solves_are_inexact_until_accepted(monkeypatch):
     assert finish[0] == 1.0 and finish[1] == inner_tol and finish[3:] == (30, 30)
     assert bundle.residual_history[-1] <= inner_tol
     assert bundle.diagnostics["iterations"] == finish[2]
-    # 42 sweeps on the 10-step walk, each a third of a fine one, and 7 on the
-    # fine finish
-    assert sum(sweeps for _, _, sweeps, *_ in calls[:-1]) <= 44
-    assert finish[2] <= 8
+    # 44 sweeps on the 1-step walk, each a thirtieth of a fine one, and 9 on
+    # the fine finish
+    assert sum(sweeps for _, _, sweeps, *_ in calls[:-1]) <= 46
+    assert finish[2] <= 10
 
     # a first distance within 40 tol does not end a stage: it has no ratio yet
     _, state = solve_continuation(simple_spec(b0=0.1), XI0, small_noise(m=4, k=8, n=5), tol=1e-3)
@@ -131,9 +131,8 @@ def test_continuation_inner_solves_are_inexact_until_accepted(monkeypatch):
     assert all(step.iterations >= 2 for step in state.steps)
 
 
-def test_continuation_walks_a_grid_with_no_small_divisor_on_its_own_steps(monkeypatch):
-    # the walk's grid is the fine one coarsened by the largest divisor up to 4
-    assert [mfg_solvers._coarsening(n) for n in (12, 30, 10, 25, 7)] == [4, 3, 2, 1, 1]
+def _recorded_grid_steps(monkeypatch) -> list:
+    """Patch ``solve_scaled_fbsde`` to record the grid steps of every solve."""
     steps = []
     solve = mfg_solvers.solve_scaled_fbsde
 
@@ -142,38 +141,59 @@ def test_continuation_walks_a_grid_with_no_small_divisor_on_its_own_steps(monkey
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(mfg_solvers, "solve_scaled_fbsde", recorded)
+    return steps
+
+
+def test_continuation_walks_a_prime_step_count_on_one_step(monkeypatch):
+    # 7 steps have no divisor but themselves; the walk still runs on 1 step,
+    # and one solve on the 7 steps finishes it
+    steps = _recorded_grid_steps(monkeypatch)
     bundle, state = solve_continuation(get_preset("lq").spec, XI0, small_noise(m=8, k=32, n=7),
                                        tol=1e-3)
-    # 7 steps: the walk runs on the fine grid, and its bundle is the result
     assert state.gamma == pytest.approx(1.0)
-    assert state.walk_steps == 7 and set(steps) == {7}
-    assert bundle is state.bundle
+    assert state.walk_steps == 1 and state.coarse_failure is None
+    assert set(steps[:-1]) == {1} and steps[-1] == 7
+    assert bundle.grid.n_steps == 7 and bundle.residual_history[-1] <= 1e-3 / 5
 
 
-def test_continuation_falls_back_to_the_fine_walk(monkeypatch):
-    # outside the smallness conditions the coarse walk's control lies 12.5%
-    # from the fine fixed point, and the fine finish from it diverges; the
-    # walk on the fine grid converges, and its result is returned unchanged
+def test_continuation_walks_a_one_step_grid_on_its_own_step(monkeypatch):
+    # a one-step grid has nothing coarser: the walk's bundle is the result
+    steps = _recorded_grid_steps(monkeypatch)
+    bundle, state = solve_continuation(get_preset("lq").spec, XI0, small_noise(m=8, k=32, n=1),
+                                       tol=1e-3)
+    assert state.gamma == pytest.approx(1.0)
+    assert state.walk_steps == 1 and set(steps) == {1}
+    assert bundle is state.bundle and state.coarse_failure is None
+
+
+def _fine_walk(noise, spec, *, tol, max_picard=30):
+    """The walk on the grid of ``noise`` with ``solve_continuation``'s defaults."""
+    return mfg_solvers._walk(noise, spec, XI0, 0.25, tol, max_picard, max(tol / 5.0, 1e-7), 60)
+
+
+def test_continuation_falls_back_to_the_fine_walk():
+    # outside the smallness conditions the fine finish from the one-step
+    # walk's control diverges; the walk on the fine grid converges, its result
+    # is returned unchanged, and the state names the coarse failure
     preset = get_preset("lq_drift_coupled", {"kappa": 1.5, "horizon": 2.0})
     noise = small_noise(seed=3, m=16, k=32, n=40, horizon=2.0)
     bundle, state = solve_continuation(preset.spec, XI0, noise, tol=1e-3)
     assert state.gamma == pytest.approx(1.0) and state.walk_steps == 40
     assert bundle.residual_history[-1] <= 1e-3 / 5
-    monkeypatch.setattr(mfg_solvers, "_MAX_COARSENING", 1)
-    fine, fine_state = solve_continuation(preset.spec, XI0, noise, tol=1e-3)
-    assert np.array_equal(bundle.controls, fine.controls)
+    assert state.coarse_failure.startswith("measure flow diverging")
+    fine_state = _fine_walk(noise, preset.spec, tol=1e-3)
+    assert np.array_equal(bundle.controls, fine_state.bundle.controls)
     assert state.schedule() == fine_state.schedule()
 
 
-def test_a_failed_fallback_raises_the_fine_walks_error(monkeypatch):
+def test_a_failed_fallback_raises_the_fine_walks_error():
     # both walks stall; the error is the fine walk's, and it names the coarse failure
     preset = get_preset("lq")
     noise = small_noise(m=6, k=16, n=10)
     with pytest.raises(SolverError, match="continuation stalled") as err:
         solve_continuation(preset.spec, XI0, noise, tol=1e-10, max_picard=1)
-    monkeypatch.setattr(mfg_solvers, "_MAX_COARSENING", 1)
     with pytest.raises(SolverError) as fine:
-        solve_continuation(preset.spec, XI0, noise, tol=1e-10, max_picard=1)
+        _fine_walk(noise, preset.spec, tol=1e-10, max_picard=1)
     assert str(err.value) == str(fine.value)
     history = dict(err.value.history)
     assert history.pop("coarse_failure").startswith("continuation stalled")
