@@ -399,7 +399,13 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: Callable[..., np
     and on the iteration cap.  On a live flow a divergence guard also runs:
     it raises on three consecutive increases of the measure-flow distance once
     theta is at its floor, which a solve whose damped steps keep raising the
-    residual reaches after six such rises.
+    residual reaches after six such rises.  A sweep takes the distance of its
+    flow to the last sweep's only while theta <= 4 * ``_MIN_DAMPING``, where a
+    guard can still read it, so ``history["flow_distances"]`` holds those
+    sweeps' distances, oldest first, and is empty when theta never got there.
+    Its last entry belongs to the last sweep started: a guard raise appends
+    that sweep's distance before its residual exists, so there the
+    distances run one sweep past ``history["residuals"]``.
     """
     grid = noise.grid
     if init_states is None:
@@ -433,7 +439,11 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: Callable[..., np
                                    gamma=gamma, inputs=inputs)
         flow = frozen_flow if frozen_flow is not None else ens.flow
         if frozen_flow is None:
-            if prev_flow is not None:
+            # theta halves at most once per sweep, so theta_{s-1} <= 2 theta_s: a
+            # guard firing at sweep s (theta at the floor) reads the distances of
+            # sweeps s-2..s, all taken at theta <= 4 floor, and the one of sweep
+            # s-2 compares with the flow of sweep s-3, taken at theta <= 8 floor
+            if prev_flow is not None and theta <= 4.0 * _MIN_DAMPING:
                 flow_dists.append(prev_flow.node_distance(flow))
                 # three rising sweeps clearly above the noise floor, after the
                 # damping rescue has already bottomed out
@@ -441,7 +451,7 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: Callable[..., np
                         and flow_dists[-1] > 10.0 * tol and theta <= _MIN_DAMPING):
                     raise SolverError("measure flow diverging over three sweeps",
                                       history={"residuals": history, "flow_distances": flow_dists})
-            prev_flow = flow
+            prev_flow = flow if theta <= 8.0 * _MIN_DAMPING else None
 
         # gates are decided on the first pass and reused on later sweeps of the
         # same solve, keeping the control-to-control map continuous (flipping
@@ -481,8 +491,9 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: Callable[..., np
                 states=ens.states, controls=ens.controls, p=back.p, q=back.q,
                 q_tilde=back.q_tilde, grid=grid, residual_history=history, diagnostics=diag,
                 flow=flow if frozen_flow is not None else ens.flow)
-        # the next sweep allocates its own; only the flow is kept, for its distance
-        del ens, back
+        # the next sweep allocates its own; only a flow that a later distance
+        # reads is kept, as ``prev_flow``
+        del ens, back, flow
 
         if len(history) > 1 and step_rms > history[-2]:
             # a rise after a damped step halves the damping; any rise restarts

@@ -108,8 +108,9 @@ class MeasureFlow:
     node n; the array is stored time-major (see ``particle_array``).  The atom
     count per measure is uniform (a Dirac flow has one atom).  Atoms are never
     written after a flow is built, so its means and sorted atoms are computed
-    once and kept: a solver comparing each sweep's flow with the last sorts
-    every flow once.
+    once, on first use, and kept: a solver comparing each sweep's flow with
+    the last sorts each flow it compares once.  ``picard_solve`` compares
+    flows only near its damping floor, so most solves sort none.
     """
 
     atoms: np.ndarray

@@ -62,9 +62,13 @@ def solve_scaled_fbsde(spec: ModelSpec, gamma: float, xi0: InitialLaw,
     At gamma = 0 the forward and backward equations decouple (coefficients
     vanish, only the inputs drive them) and the iteration terminates in one
     pass.  The live conditional empirical flow is recomputed from the forward
-    particles each sweep; three consecutive increases of the flow distance
-    raise a SolverError with the history attached.  The returned bundle's
-    diagnostics hold its ``first_order_residual``.
+    particles each sweep; three consecutive increases of the flow distance at
+    the damping floor raise a SolverError with the history attached.  The
+    distance is taken only on sweeps whose damping is within 4 times that
+    floor, so ``history["flow_distances"]`` starts at the first such sweep
+    and, on that error, ends one sweep past ``history["residuals"]`` (see
+    ``picard_solve``).  The returned bundle's diagnostics hold its
+    ``first_order_residual``.
     """
     if not 0.0 <= gamma <= 1.0:
         raise SolverError(f"gamma must lie in [0, 1], got {gamma}")

@@ -25,8 +25,10 @@ BOUND_ARGUMENTS = {
     "cnmfg.model:minimize_hamiltonian_values": ("spec",),
 }
 
-# counters that a run with no inconclusive Nash estimate may leave at zero
-MAY_BE_ZERO = {"nplayer.inconclusive"}
+# counters that a run with no inconclusive Nash estimate may leave at zero; the
+# flow distance is taken only near the damping floor, which the tiny CLI solve
+# never reaches (test_flow_distance_counter_moves_on_a_diverging_solve checks it)
+MAY_BE_ZERO = {"nplayer.inconclusive", "measures.node_distance_calls"}
 
 
 def _load_bench_module(name: str):
@@ -117,6 +119,31 @@ def test_every_layer_counter_moves_on_the_cli(tracing, tmp_path):
     zero = [name for name in tracing.COUNT_METRICS
             if name not in MAY_BE_ZERO and max(m[name] for m in metrics) == 0]
     assert zero == []
+
+
+def test_flow_distance_counter_moves_on_a_diverging_solve(tracing):
+    # far outside the smallness conditions the damping reaches its floor, where
+    # the divergence guard reads the flow distances
+    bsde = importlib.import_module("cnmfg.bsde")
+    from cnmfg.errors import SolverError
+    from cnmfg.forward_sim import InitialLaw, NoiseBundle, TimeGrid
+    from cnmfg.model import get_preset
+
+    spec = get_preset("lq", {"b2": 4.0, "cu": 0.05}).spec
+    noise = NoiseBundle(seed=3, n_paths=16, n_particles=32, grid=TimeGrid(1.0, 40))
+
+    def diverging_solve():
+        with pytest.raises(SolverError, match="measure flow diverging"):
+            bsde.picard_solve(spec, noise, bsde.terminal_from_cost(spec),
+                              xi0=InitialLaw(kind="normal", mu=1.0, std=0.5), tol=1e-3)
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        _, root = tracer.operation(diverging_solve)
+    finally:
+        tracer.uninstall()
+    assert tracing.operation_metrics(tracer, root)["measures.node_distance_calls"] > 0
 
 
 def test_workload_checks_pass_on_tiny_operations(workloads, tmp_path):

@@ -14,7 +14,7 @@ from cnmfg.measures import MeasureFlow, constant_flow
 from cnmfg.lq_oracle import oracle_solution, solve_riccati
 from cnmfg.model import get_preset, hamiltonian_dx
 
-from cnmfg.mfg_solvers import solve_stitched
+from cnmfg.mfg_solvers import solve_scaled_fbsde, solve_stitched
 from cnmfg.nplayer import FeedbackStrategy, simulate_nplayer
 
 from helpers import assert_steps_contiguous, count_f0u_calls, simple_spec
@@ -471,26 +471,36 @@ def test_residual_rise_restarts_with_the_damped_step(monkeypatch):
         assert not np.allclose(controls[it], images[it - 1], rtol=0.0, atol=1e-6)
 
 
-def test_flow_divergence_guard_is_reached_by_halving_the_damping():
+def test_flow_divergence_guard_is_reached_by_halving_the_damping(monkeypatch):
     # far outside the smallness conditions every step raises the residual: each
     # rise after a damped step halves theta, which is at its floor after six,
     # and the guard on the rising flow distance then ends the solve
     spec = get_preset("lq", {"b2": 4.0, "cu": 0.05}).spec
     noise = NoiseBundle(seed=3, n_paths=16, n_particles=32, grid=TimeGrid(1.0, 40))
+    distance_sweeps = _counting_distances(monkeypatch)
     with pytest.raises(SolverError, match="measure flow diverging") as err:
         picard_solve(spec, noise, terminal_from_cost(spec),
                      xi0=InitialLaw(kind="normal", mu=1.0, std=0.5), tol=1e-3)
     residuals = err.value.history["residuals"]
     assert len(residuals) == 7
     assert all(b > a for a, b in zip(residuals, residuals[1:]))
+    # theta is 1 on sweeps 1 and 2 and halves on each later one, to the floor
+    # on sweep 8, where the guard raises before that sweep's residual exists;
+    # a distance is taken on each sweep from the first with theta <= 4 floor
+    thetas = {s: max(0.5 ** max(s - 2, 0), bsde._MIN_DAMPING) for s in range(1, 9)}
+    first = min(s for s, theta in thetas.items() if theta <= 4.0 * bsde._MIN_DAMPING)
+    assert thetas[8] == bsde._MIN_DAMPING and first == 6
+    assert distance_sweeps == list(range(first, 9))
+    assert len(err.value.history["flow_distances"]) == len(distance_sweeps)
 
 
-def test_picard_peak_memory_stays_within_eleven_arrays():
+def test_picard_peak_memory_stays_within_ten_arrays():
     # the Anderson history costs four (path x particle x step) arrays; a sweep
-    # drops its ensemble and adjoints before the next one allocates its own, and
-    # the new residual takes the buffer of the oldest, so the peak is that of
-    # damped Picard without a history: 10.64 arrays, 10.68 with the history,
-    # 11.51 with a new residual buffer per sweep, 13.72 keeping the last sweep
+    # drops its ensemble and adjoints before the next one allocates its own, the
+    # new residual takes the buffer of the oldest, and a flow is kept only near
+    # the damping floor, so the peak is 9.82 arrays: 10.82 with a new residual
+    # buffer per sweep, 10.86 keeping every sweep's flow for the next distance,
+    # 12.86 keeping the last sweep
     import tracemalloc
 
     spec = get_preset("lq").spec
@@ -504,7 +514,77 @@ def test_picard_peak_memory_stays_within_eleven_arrays():
     finally:
         tracemalloc.stop()
     assert len(bundle.residual_history) >= 5
-    assert peak < 11 * m * k * n * 8
+    assert peak < 10 * m * k * n * 8
+
+
+def _counting_distances(monkeypatch):
+    """Wrap ``MeasureFlow.node_distance``; returns the sweep of each call, counted from 1."""
+    sweeps, calls = [0], []
+    real_sim, real_distance = bsde.simulate_forward, MeasureFlow.node_distance
+
+    def counting_sim(*args, **kwargs):
+        sweeps[0] += 1
+        return real_sim(*args, **kwargs)
+
+    def counting_distance(self, other):
+        calls.append(sweeps[0])
+        return real_distance(self, other)
+
+    monkeypatch.setattr(bsde, "simulate_forward", counting_sim)
+    monkeypatch.setattr(MeasureFlow, "node_distance", counting_distance)
+    return calls
+
+
+# outcomes of direct solves at 16 x 32 x 40, seed 3, tol 1e-3, recorded while
+# every live sweep took its flow distance; the guard reads them only at the
+# damping floor, so taking them only near it must end each solve alike
+_GUARD_OUTCOMES = [
+    ("lq", {"b1": 3.0}, 10, 896207.8525656075),
+    ("lq", {"b2": 4.0, "cu": 0.05}, 7, 6358779327012.721),
+    ("lq_drift_coupled", {"kappa": 3.0, "horizon": 3.0}, 7, 5.3755108830210336e+17),
+    ("lq_drift_coupled", {"kappa": 1.5, "horizon": 2.0}, 7, 1084267203.3009405),
+    ("tanh_drift", {"kappa": 3.0, "horizon": 3.0}, 12, 6896986.381618124),
+    ("lq_drift_coupled", {"b2": 3.0, "cu": 0.2}, 10, 428559852.4267492),
+]
+
+
+def _scan_solve(name, params):
+    spec = get_preset(name, params).spec
+    noise = NoiseBundle(seed=3, n_paths=16, n_particles=32, grid=TimeGrid(spec.horizon, 40))
+    return solve_scaled_fbsde(spec, 1.0, InitialLaw(kind="normal", mu=1.0, std=0.5), None, noise,
+                              tol=1e-3)
+
+
+@pytest.mark.parametrize("name, params, n_residuals, last", _GUARD_OUTCOMES)
+def test_flow_guard_ends_each_diverging_solve_on_its_sweep(name, params, n_residuals, last):
+    with pytest.raises(SolverError, match="measure flow diverging over three sweeps") as err:
+        _scan_solve(name, params)
+    residuals = err.value.history["residuals"]
+    assert len(residuals) == n_residuals
+    assert residuals[-1] == pytest.approx(last, rel=1e-6)
+
+
+def test_damped_solve_away_from_the_floor_keeps_its_controls(monkeypatch):
+    # the quartic solve damps to theta = 1/8 and converges without a distance;
+    # its controls are those recorded while every sweep took one
+    distance_sweeps = _counting_distances(monkeypatch)
+    bundle = _scan_solve("quartic_control", {"b2": 2.0, "cu": 0.1})
+    assert len(bundle.residual_history) == 42
+    assert bundle.diagnostics["damping_final"] == 0.125
+    assert distance_sweeps == []
+    c = bundle.controls
+    assert bundle.residual_history[-1] == pytest.approx(0.0008292012305918007, rel=1e-9)
+    assert control_rms(c, bundle.grid.dt, 1.0) == pytest.approx(0.7062057979844172, rel=1e-9)
+    assert float(c.sum()) == pytest.approx(-11139.881676999532, rel=1e-9)
+    assert float(c[:, :, 0].mean()) == pytest.approx(-0.8900424918808458, rel=1e-9)
+
+
+def test_undamped_solve_takes_no_flow_distance(monkeypatch):
+    distance_sweeps = _counting_distances(monkeypatch)
+    bundle = _scan_solve("lq", {})
+    assert bundle.diagnostics["damping_final"] == 1.0
+    assert len(bundle.residual_history) == 8
+    assert distance_sweeps == []
 
 
 def _counting_designs(monkeypatch):
