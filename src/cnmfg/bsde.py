@@ -22,11 +22,14 @@ per-path power sums of z, and one batched inversion of those; if a step's
 states all coincide, z = 0, which under the ridge is the intercept-only fit.
 The variances R^2 divides by are taken per block too, once its adjoint nodes
 are written.  Per step, the recursion rebuilds the basis as one (path, basis,
-particle) block from the stored moments and keeps the fits, q, q_tilde, p and
-the Hamiltonian's x-derivative.  The cross-path design reads only flow, noise
-and the z2 gates, so two batched solves build it for all steps up front, and a
-coupled solve on a frozen flow builds it only once.  The loop reduces with
-einsum and ufuncs: a long BLAS dot wakes spinning threads.
+particle) block from the stored moments and writes p, q and q_tilde.  Only
+sigma1, sigma2, sigma_tilde1 and sigma_tilde2 read q and q_tilde: where all are
+0, a coupled solve's passes keep each step's moments, Gram inverses and fit
+coefficients instead, and only the returned sweep's loadings are filled.  The
+cross-path design reads only flow, noise and the z2 gates, so two batched
+solves build it for all steps up front, and a coupled solve on a frozen flow
+builds it only once.  The loop reduces with einsum and ufuncs: a long BLAS dot
+wakes spinning threads.
 
 The coupled solve iterates: simulate forward under the current control, solve
 backward, take the pointwise Hamiltonian minimizer, and step the control
@@ -79,6 +82,7 @@ class BackwardSolution:
     q_tilde: np.ndarray
     grid: TimeGrid
     diagnostics: dict = field(default_factory=dict)
+    fits: dict | None = None     # step -> its fit, kept by a pass without loadings
 
 
 @dataclass
@@ -237,15 +241,42 @@ def _regression_geometry(states: np.ndarray, lo: int, hi: int, ridge: np.ndarray
     return mu, sd, flat, np.linalg.inv(gram)
 
 
+def _standardize(basis: np.ndarray, x: np.ndarray, mu: float, sd: float, flat: bool) -> None:
+    """Write the rows z and z^2 of a step's basis from its states and stored moments."""
+    if flat:
+        basis[:, 1] = 0.0
+    else:
+        np.subtract(x, mu, out=basis[:, 1])
+        basis[:, 1] /= sd
+    np.square(basis[:, 1], out=basis[:, 2])
+
+
+def _fit(basis: np.ndarray, gram_inv: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per-path ridge coefficients of ``values`` on the basis."""
+    return np.einsum("jab,jb->ja", gram_inv, np.einsum("jbk,jk->jb", basis, values))
+
+
+def _step_fit(basis, gram_inv, coef, y, dw, dt, fit_map, mb, out=None):
+    """A step's fit residual and cross-path slopes; with ``out``, writes its (q, q_tilde)."""
+    resid = y - np.einsum("jbk,jb->jk", basis, coef)
+    sol = fit_map @ coef
+    if out is not None:
+        np.einsum("jbk,jb->jk", basis, _fit(basis, gram_inv, resid * dw) / dt, out=out[0])
+        np.einsum("jbk,jb->jk", basis, sol[2] + mb[:, None] * sol[3], out=out[1])
+    return resid, sol
+
+
 def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: MeasureFlow,
                              terminal: Callable[..., np.ndarray], noise: NoiseBundle,
                              *, gamma: float = 1.0, inputs: InputPerturbation | None = None,
-                             design: tuple[np.ndarray, np.ndarray] | None = None
-                             ) -> BackwardSolution:
+                             design: tuple[np.ndarray, np.ndarray] | None = None,
+                             loadings: bool = True) -> BackwardSolution:
     """Backward solve for a given control and frozen measure flow on the noise's grid.
 
     ``design`` is the cross-path design with its maps, as ``_cross_path_design``
     builds it on this flow and noise; without it one is built with fresh gates.
+    With ``loadings`` False no q or q_tilde is computed: both are read-only NaN
+    placeholders, and ``fits`` keeps what ``_fill_loadings`` needs to write them.
     """
     grid = noise.grid
     if flow.grid != grid or ensemble.grid != grid:
@@ -266,22 +297,18 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
     geometry = _regression_geometry(states, lo, hi, ridge)
 
     p = particle_array(m, k, span + 1)
-    q = particle_array(m, k, span)
-    qt = particle_array(m, k, span)
+    q = particle_array(m, k, span) if loadings else np.broadcast_to(np.nan, (m, k, span))
+    qt = particle_array(m, k, span) if loadings else q
+    fits = None if loadings else {}
     terminal_values = gamma * np.asarray(terminal(states[:, :, -1], flow.at(span)))
     if inputs is not None:
         terminal_values = terminal_values + inputs.g
     p[:, :, span] = terminal_values
 
-    basis = np.empty((m, 3, k))          # rows [1, z, z^2] of each path
-    basis[:, 0] = 1.0
+    basis = np.ones((m, 3, k))          # rows [1, z, z^2] of each path
     r2 = np.empty(span)
     warnings = [] if m >= 4 else ["common-noise loading set to zero: fewer than 4 common paths"]
     degenerate_steps = 0
-
-    def fit(gram_inv, values):
-        """Per-path ridge coefficients of ``values`` on the basis."""
-        return np.einsum("jab,jb->ja", gram_inv, np.einsum("jbk,jk->jb", basis, values))
 
     while hi > 0:
         mu, sd, flat, gram_invs = geometry
@@ -290,17 +317,10 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
             t = nodes[n]
             x = states[:, :, n]
             y = p[:, :, n + 1]
-            if flat[n - lo]:
-                basis[:, 1] = 0.0
-            else:
-                np.subtract(x, mu[n - lo], out=basis[:, 1])
-                basis[:, 1] /= sd[n - lo]
-            np.square(basis[:, 1], out=basis[:, 2])
-            gram_inv = gram_invs[n - lo]
-            coef = fit(gram_inv, y)
-            resid = y - np.einsum("jbk,jb->jk", basis, coef)
-            q_val = np.einsum("jbk,jb->jk", basis, fit(gram_inv, resid * noise.dW[:, :, n]) / dt,
-                              out=q[:, :, n])
+            _standardize(basis, x, mu[n - lo], sd[n - lo], flat[n - lo])
+            coef = _fit(basis, gram_invs[n - lo], y)
+            if not loadings:
+                fits[n] = (mu[n - lo], sd[n - lo], flat[n - lo], gram_invs[n - lo], coef)
 
             # Environment loadings: the common increment (and, at finite particle
             # counts, the flow-mean innovation it does not explain) are constant
@@ -308,14 +328,14 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
             # the per-path fit coefficients.  The common-increment slope is the
             # common-noise loading; the full factor part is subtracted from the
             # fit to undo its anticipative conditioning on the realized increments.
-            sol = fit_maps[n] @ coef
-            qt_val = np.einsum("jbk,jb->jk", basis, sol[2] + design[n, :, 1, None] * sol[3],
-                               out=qt[:, :, n])
+            resid, sol = _step_fit(basis, gram_invs[n - lo], coef, y, noise.dW[:, :, n], dt,
+                                   fit_maps[n], design[n, :, 1],
+                                   (q[:, :, n], qt[:, :, n]) if loadings else None)
             p_n = np.einsum("jbk,jb->jk", basis, coef - design[n, :, 2:] @ sol[2:],
                             out=p[:, :, n])
 
             # H_x at p = 0: its b1 * p term is implicit, in the denominator below
-            p_n += (gamma * dt) * hamiltonian_dx(spec, t, x, 0.0, q_val, qt_val,
+            p_n += (gamma * dt) * hamiltonian_dx(spec, t, x, 0.0, q[:, :, n], qt[:, :, n],
                                                  controls[:, :, n], flow.at(n))
             if inputs is not None:
                 p_n += dt * inputs.f[:, :, n]
@@ -334,7 +354,18 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
     if degenerate_steps:
         warnings.append(f"regression fell back to intercept-only basis on {degenerate_steps} steps")
     diag = {"r_squared": r2, "warnings": warnings}
-    return BackwardSolution(p=p, q=q, q_tilde=qt, grid=grid, diagnostics=diag)
+    return BackwardSolution(p=p, q=q, q_tilde=qt, grid=grid, diagnostics=diag, fits=fits)
+
+
+def _fill_loadings(back: BackwardSolution, states: np.ndarray, noise: NoiseBundle, design) -> None:
+    """Write the loadings of a pass run without them on ``states``, ``noise`` and ``design``."""
+    m, k, span = back.q.shape
+    back.q, back.q_tilde = particle_array(m, k, span), particle_array(m, k, span)
+    basis = np.ones((m, 3, k))
+    for n, (mu, sd, flat, gram_inv, coef) in back.fits.items():
+        _standardize(basis, states[:, :, n], mu, sd, flat)
+        _step_fit(basis, gram_inv, coef, back.p[:, :, n + 1], noise.dW[:, :, n], back.grid.dt,
+                  design[1][n], design[0][n, :, 1], (back.q[:, :, n], back.q_tilde[:, :, n]))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +424,8 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: Callable[..., np
     the step is the damped one.  theta starts at 1 (the plain map) and
     halves, to a floor of ``_MIN_DAMPING``, on each rise that follows a
     damped step.  Convergence is measured on the residual, so damping cannot
-    fake progress.
+    fake progress.  With sigma1, sigma2, sigma_tilde1 and sigma_tilde2 0 at every
+    step, only the returned sweep fills q and q_tilde, after the history is freed.
 
     Raises SolverError with the residual history on a non-finite residual
     and on the iteration cap.  On a live flow a divergence guard also runs:
@@ -430,6 +462,9 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: Callable[..., np
     prev_flow = None
     gate_plan: dict = {}
     design = None
+    # where the volatilities' x- and u-slopes are 0, only the returned sweep needs q, q_tilde
+    loadings = any(c(t) != 0.0 for vol in (spec.vol, spec.vol_common)
+                   for c in (vol.phi1, vol.phi2) for t in grid.nodes[:-1])
 
     for it in range(max_iter):
         ens, first_pass = first_pass, None
@@ -460,7 +495,7 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: Callable[..., np
         if design is None or frozen_flow is None:
             design = _cross_path_design(spec, flow, noise, gate_plan)
         back = solve_bsde_given_control(spec, ens, flow, terminal, noise, gamma=gamma,
-                                        inputs=inputs, design=design)
+                                        inputs=inputs, design=design, loadings=loadings)
 
         # a full history lends its oldest residual's buffer to the new one:
         # only their dot product is still needed, and it is taken node by node
@@ -482,6 +517,10 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: Callable[..., np
             raise SolverError(f"non-finite control residual at sweep {it + 1}",
                               history={"residuals": history, "flow_distances": flow_dists})
         if step_rms <= tol:
+            if back.fits is not None:
+                # the Anderson history is dropped first, so the loadings reuse its memory
+                fs = gs = f = oldest = g = g_j = None
+                _fill_loadings(back, ens.states, noise, design)
             diag = dict(back.diagnostics)
             diag["iterations"] = it + 1
             diag["damping_final"] = theta

@@ -88,10 +88,12 @@ class InitialLaw:
             raise SimulationError("empirical initial law needs at least one atom")
 
 
-def _block_rng(seed: int, channel: int, j: int) -> np.random.Generator:
-    bits = np.random.Philox(key=seed)
-    bits.advance(channel * _CHANNEL_STRIDE + j * _PATH_STRIDE)
-    return np.random.Generator(bits)
+def _block_rng(rng: np.random.Generator, channel: int, j: int) -> np.random.Generator:
+    """Keyed Philox ``rng`` re-pointed at block (channel, j) as a new generator on the key."""
+    state = rng.bit_generator.state
+    state["state"]["counter"][:] = [channel * _CHANNEL_STRIDE + j * _PATH_STRIDE, 0, 0, 0]
+    rng.bit_generator.state = dict(state, buffer_pos=4, has_uint32=0)
+    return rng
 
 
 @dataclass
@@ -120,12 +122,13 @@ class NoiseBundle:
         root = np.sqrt(self.grid.dt)
         dw = particle_array(m, k, n)
         dwc = np.empty((m, n))
+        rng = np.random.Generator(np.random.Philox(key=self.seed))
         for j in range(m):
             # the draws keep their (k, n) order; writing through the transposes
             # stores whole contiguous rows of the time-major block
-            draws = _block_rng(self.seed, _CH_IDIOSYNCRATIC, j).standard_normal((k, n))
+            draws = _block_rng(rng, _CH_IDIOSYNCRATIC, j).standard_normal((k, n))
             np.multiply(draws.T, root, out=dw[j].T)
-            dwc[j] = _block_rng(self.seed, _CH_COMMON, j).standard_normal(n) * root
+            dwc[j] = _block_rng(rng, _CH_COMMON, j).standard_normal(n) * root
         dw.flags.writeable = dwc.flags.writeable = False
         self.dW, self.dW_common = dw, dwc
 
@@ -183,8 +186,9 @@ class NoiseBundle:
         if law.kind == "constant":
             return np.full((m, k), float(law.mu))
         out = np.empty((m, k))
+        keyed = np.random.Generator(np.random.Philox(key=self.seed))
         for j in range(m):
-            rng = _block_rng(self.seed, _CH_INITIAL, j)
+            rng = _block_rng(keyed, _CH_INITIAL, j)
             if law.kind == "normal":
                 out[j] = law.mu + law.std * rng.standard_normal(k)
             else:

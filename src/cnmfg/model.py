@@ -174,10 +174,11 @@ def hamiltonian_dx(spec: ModelSpec, t: float, x: ArrayLike, p: ArrayLike, q: Arr
 
 def control_loading(spec: ModelSpec, t: float, p: ArrayLike, q: ArrayLike,
                     q_tilde: ArrayLike) -> np.ndarray:
-    """The Hamiltonian's control loading b2 p + sigma2 q + sigma_tilde2 q_tilde."""
-    return (spec.drift.phi2(t) * np.asarray(p, dtype=float)
-            + spec.vol.phi2(t) * np.asarray(q, dtype=float)
-            + spec.vol_common.phi2(t) * np.asarray(q_tilde, dtype=float))
+    """The Hamiltonian's control loading b2 p + sigma2 q + sigma_tilde2 q_tilde; a
+    q or q_tilde term whose coefficient is 0 is left out, as in ``hamiltonian_dx``."""
+    loadings = ((spec.vol.phi2(t), q), (spec.vol_common.phi2(t), q_tilde))
+    return sum((c * np.asarray(a, dtype=float) for c, a in loadings if c != 0.0),
+               spec.drift.phi2(t) * np.asarray(p, dtype=float))
 
 
 def minimize_hamiltonian_values(spec: ModelSpec, t: float, x: np.ndarray, p: np.ndarray,

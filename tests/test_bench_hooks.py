@@ -115,6 +115,8 @@ def test_every_layer_counter_moves_on_the_cli(tracing, tmp_path):
     finally:
         tracer.uninstall()
     assert [code for code, _ in ops] == [0, 0]
+    # a reader that raises marks its span unread, and its metric then reads 0 with no error
+    assert [span.name for span in tracer.spans if span.info.get("unread")] == []
     metrics = [tracing.operation_metrics(tracer, root) for _, root in ops]
     zero = [name for name in tracing.COUNT_METRICS
             if name not in MAY_BE_ZERO and max(m[name] for m in metrics) == 0]

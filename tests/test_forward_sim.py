@@ -334,6 +334,41 @@ def test_initial_states_are_drawn_once_per_bundle_and_law(monkeypatch):
             del calls[:]
 
 
+def _former_block_rng(seed, channel, j):
+    """The former per-block draw: a new generator on the key, advanced to the block."""
+    bits = np.random.Philox(key=seed)
+    bits.advance(channel * forward_sim._CHANNEL_STRIDE + j * forward_sim._PATH_STRIDE)
+    return np.random.Generator(bits)
+
+
+@pytest.mark.parametrize("seed", [0, 11, 23, 2 ** 64 + 5])
+@pytest.mark.parametrize("n_paths", [1, 5])
+def test_noise_draws_equal_those_of_a_new_generator_per_block(seed, n_paths):
+    # one keyed generator per draw loop, re-pointed at each block, draws what a
+    # new generator per (channel, path) block drew, bit for bit
+    k, n = 5, 7       # odd: a 32-bit draw leaves half a word behind
+    bundle = NoiseBundle(seed=seed, n_paths=n_paths, n_particles=k,
+                         grid=TimeGrid(1.0, n))
+    root = np.sqrt(bundle.grid.dt)
+    laws = {"constant": InitialLaw(kind="constant", mu=0.7),
+            "normal": InitialLaw(kind="normal", mu=1.0, std=0.5),
+            "empirical": InitialLaw(kind="empirical", atoms=(1.0, 2.0, 4.0))}
+    atoms = np.asarray(laws["empirical"].atoms)
+    for j in range(n_paths):
+        idio = _former_block_rng(seed, forward_sim._CH_IDIOSYNCRATIC, j).standard_normal((k, n))
+        assert np.array_equal(bundle.dW[j], idio * root)
+        common = _former_block_rng(seed, forward_sim._CH_COMMON, j).standard_normal(n) * root
+        assert np.array_equal(bundle.dW_common[j], common)
+    want = {"constant": np.full((n_paths, k), 0.7),
+            "normal": np.stack([1.0 + 0.5 * _former_block_rng(seed, forward_sim._CH_INITIAL, j)
+                                .standard_normal(k) for j in range(n_paths)]),
+            "empirical": np.stack([atoms[_former_block_rng(seed, forward_sim._CH_INITIAL, j)
+                                         .integers(0, 3, size=k)] for j in range(n_paths)])}
+    # a law drawn after another starts from its own blocks, not where that one stopped
+    for kind in ("empirical", "normal", "constant"):
+        assert np.array_equal(bundle.initial_states(laws[kind]), want[kind]), kind
+
+
 def test_noise_is_read_only():
     # the solvers' common random numbers: nothing may write into them
     grid = TimeGrid(1.0, 10)
