@@ -17,12 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bsde import (control_rms, first_order_residual, picard_solve, solution_norm,
-                   terminal_from_cost)
+from .bsde import control_rms, solution_norm
 from .errors import CnmfgError, ConfigError, ModelError, SolverError
-from .forward_sim import NoiseBundle, OpenLoopControl, TimeGrid, particle_array, simulate_forward
+from .forward_sim import NoiseBundle, TimeGrid
 from .lq_oracle import lq_cost_oracle, oracle_solution, solve_riccati
-from .measures import constant_flow
 from .model import (cost_functional, get_preset, preset_names, sufficient_condition_report,
                     validate_assumptions)
 from .mfg_solvers import solve_continuation, solve_scaled_fbsde, solve_stitched
@@ -91,16 +89,6 @@ def _load_resume_controls(cfg: RunConfig) -> np.ndarray:
     return controls
 
 
-def _frozen_flow(cfg: RunConfig, preset, noise, xi0):
-    kind = cfg.frozen_flow["kind"]
-    if kind == "dirac":
-        return constant_flow(cfg.frozen_flow.get("value", 0.0), noise.grid, cfg.n_common)
-    # zero_control: the conditional particle flow under the null control
-    m, k, n = cfg.n_common, cfg.n_particles, cfg.n_steps
-    return simulate_forward(preset.spec, OpenLoopControl(particle_array(m, k, n, zeros=True)),
-                            noise, xi0).flow
-
-
 def cmd_solve(args) -> int:
     cfg = _load(args)
     preset, grid, xi0 = _setup(cfg)
@@ -128,15 +116,9 @@ def cmd_solve(args) -> int:
         walk_steps, coarse_failure = state.walk_steps, state.coarse_failure
     elif cfg.method == "stitched":
         bundle, rep = solve_stitched(preset.spec, xi0, noise, tol=tol,
-                                     interval_fraction=cfg.interval_fraction,
-                                     global_passes=cfg.global_passes)
+                                     interval_fraction=cfg.interval_fraction)
         schedule = [(float(b),) for b in rep.boundaries]
         ratios = rep.interval_ratios
-    elif cfg.method == "given-m":
-        flow = _frozen_flow(cfg, preset, noise, xi0)
-        bundle = picard_solve(preset.spec, noise, terminal_from_cost(preset.spec), xi0=xi0,
-                              frozen_flow=flow, tol=tol, max_iter=cfg.max_iter)
-        bundle.diagnostics["first_order_residual"] = first_order_residual(preset.spec, bundle)
     else:  # direct
         bundle = solve_scaled_fbsde(preset.spec, 1.0, xi0, None, noise, tol=tol,
                                     max_iter=cfg.max_iter)
@@ -214,6 +196,10 @@ def cmd_compare_oracle(args) -> int:
     if preset.lq_params is None:
         raise ConfigError(f"no oracle: preset {cfg.preset!r} is outside the LQ family",
                           field="preset")
+    levels = cfg.oracle_levels
+    if min(cfg.n_steps, cfg.n_particles) < 2 ** (levels - 1):
+        raise ConfigError(f"{levels} refinement levels leave the coarsest without a time step "
+                          f"or a particle", field="oracle_levels")
     tol = cfg.tol if cfg.tol is not None else preset.default_tol
     writer = RunWriter(cfg.output_dir, cfg.config_hash(), cfg.seed)
     noise = _ensemble_noise(cfg, grid)
@@ -222,8 +208,7 @@ def cmd_compare_oracle(args) -> int:
     t0 = timer()
     cont, _ = solve_continuation(preset.spec, xi0, noise, eta0=cfg.eta0, tol=tol)
     stitch, _ = solve_stitched(preset.spec, xi0, noise, tol=tol,
-                               interval_fraction=cfg.interval_fraction,
-                               global_passes=cfg.global_passes)
+                               interval_fraction=cfg.interval_fraction)
     rows = []
     for name, bundle in (("continuation", cont), ("stitched", stitch)):
         rows.append({"method": name,
@@ -235,7 +220,6 @@ def cmd_compare_oracle(args) -> int:
 
     # refinement studies (direct solves): halving the time step at fixed
     # particles, doubling particles on a finer grid to stay above the bias floor
-    levels = max(cfg.oracle_levels, 1)
     dt_rows = [_oracle_errors(preset, cfg, cfg.n_steps // (2 ** (levels - 1 - i)),
                               cfg.n_particles, cfg.seed, tol) for i in range(levels)]
     k_rows = [_oracle_errors(preset, cfg, 2 * cfg.n_steps,

@@ -155,9 +155,3 @@ class MeasureFlow:
         w2_sq = np.mean((self._sorted - other._sorted) ** 2, axis=1)
         return float(np.sqrt(np.max(w2_sq)))
 
-
-def constant_flow(value: float, grid: "TimeGrid", n_paths: int) -> MeasureFlow:
-    """Flow of Dirac measures at a fixed value (one atom per measure)."""
-    atoms = np.full((n_paths, 1, grid.n_steps + 1), float(value))
-    return MeasureFlow(atoms=atoms, grid=grid)
-

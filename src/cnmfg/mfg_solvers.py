@@ -51,6 +51,17 @@ from .model import ModelSpec, hamiltonian_dx
 _FORCING = 0.05
 # outer distance, per unit of tol, at which a stage before the last is accepted
 _PATH_TOL = 40.0
+# outer iterations of one continuation stage attempt
+_MAX_PICARD = 30
+# map iterations per interval, interval halvings and passes of stitching
+_MAX_FP_ITER = 30
+_MAX_HALVINGS = 5
+_GLOBAL_PASSES = 2
+
+
+def _inner_tol(tol: float) -> float:
+    """Tolerance of the inner solves of continuation and stitching, from their own."""
+    return max(tol / 5.0, 1e-7)
 
 
 def solve_scaled_fbsde(spec: ModelSpec, gamma: float, xi0: InitialLaw,
@@ -138,33 +149,33 @@ def _observed_ratio(distances: list[float], floor: float) -> float:
 
 
 def solve_continuation(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle,
-                       *, eta0: float = 0.25, tol: float = 1e-4, max_picard: int = 30,
-                       inner_tol: float | None = None, max_iter_inner: int = 60
+                       *, eta0: float = 0.25, tol: float = 1e-4, max_iter_inner: int = 60
                        ) -> tuple[SolutionBundle, ContinuationState]:
     """Walk the coupling scale from 0 to 1 on one time step, then solve once on the fine grid.
 
     The walk runs on ``noise.coarsened(n_steps)``, one step over the whole
     horizon with the summed increments.  Its gamma = 1 control, held over
     every fine step, starts one direct solve of the full system on ``noise``
-    at ``inner_tol``; that fine finish is the returned bundle, and the
-    returned state is the walk's, its bundle on the one-step grid.  If the
-    coarse walk or the fine finish raises a SolverError or SimulationError,
-    the walk is run again on the fine grid from gamma = 0, its bundle is
-    returned, and the state's ``coarse_failure`` holds the coarse attempt's
-    message.  When that walk fails too, its SolverError's history gains the
-    same ``coarse_failure``.  A one-step grid is walked on its own step, and
-    the walk's bundle is the result.  The walk costs about the same number of
-    sweeps on any grid and only has to follow the path (intermediate stages
-    are loose anyway), so it runs on the cheapest grid; solving coarse and
-    correcting fine is nested iteration (Brandt, Math. Comp. 31, 1977).
+    at the inner tolerance ``inner_tol = max(tol / 5, 1e-7)``; that fine
+    finish is the returned bundle, and the returned state is the walk's, its
+    bundle on the one-step grid.  If the coarse walk or the fine finish raises
+    a SolverError or SimulationError, the walk is run again on the fine grid
+    from gamma = 0, its bundle is returned, and the state's
+    ``coarse_failure`` holds the coarse attempt's message.  When that walk
+    fails too, its SolverError's history gains the same ``coarse_failure``.  A
+    one-step grid is walked on its own step, and the walk's bundle is the
+    result.  The walk costs about the same number of sweeps on any grid and
+    only has to follow the path (intermediate stages are loose anyway), so it
+    runs on the cheapest grid; solving coarse and correcting fine is nested
+    iteration (Brandt, Math. Comp. 31, 1977).
 
     Each advance gamma -> gamma + eta of a walk iterates: assemble inputs eta
     * (model coefficients along the current iterate), solve the gamma-scaled
     system with those inputs warm-started from the iterate, measure the
-    solution-norm distance.  eta is halved when the observed ratio reaches 0.9
-    (and the step retried), doubled back toward eta0 after two clean steps,
-    and the solver stalls out below eta = 1e-3.  An inner SolverError or
-    SimulationError fails the step too.
+    solution-norm distance, for at most ``_MAX_PICARD`` iterations.  eta is
+    halved when the observed ratio reaches 0.9 (and the step retried), doubled
+    back toward eta0 after two clean steps, and the solver stalls out below
+    eta = 1e-3.  An inner SolverError or SimulationError fails the step too.
 
     The inner solves are inexact (a forcing-term rule, as in inexact Newton
     methods): outer iteration k solves to max(inner_tol, _FORCING * d_{k-1}),
@@ -177,16 +188,15 @@ def solve_continuation(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle,
     ``inner_tol``.  ``ContinuationStep.sweeps`` holds the inner sweeps of
     each iteration.
     """
-    inner_tol = inner_tol if inner_tol is not None else max(tol / 5.0, 1e-7)
-    walk = (spec, xi0, eta0, tol, max_picard, inner_tol, max_iter_inner)
+    walk = (spec, xi0, eta0, tol, max_iter_inner)
     n = noise.grid.n_steps
     coarse_failure = None
     if n > 1:
         try:
             state = _walk(noise.coarsened(n), *walk)
             u0 = np.repeat(state.bundle.controls.transpose(2, 0, 1), n, axis=0).transpose(1, 2, 0)
-            bundle = solve_scaled_fbsde(spec, 1.0, xi0, None, noise, u0=u0, tol=inner_tol,
-                                        max_iter=max_iter_inner)
+            bundle = solve_scaled_fbsde(spec, 1.0, xi0, None, noise, u0=u0,
+                                        tol=_inner_tol(tol), max_iter=max_iter_inner)
             return bundle, state
         except (SolverError, SimulationError) as err:
             coarse_failure = str(err)
@@ -201,8 +211,9 @@ def solve_continuation(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle,
 
 
 def _walk(noise: NoiseBundle, spec: ModelSpec, xi0: InitialLaw, eta0: float, tol: float,
-          max_picard: int, inner_tol: float, max_iter_inner: int) -> ContinuationState:
+          max_iter_inner: int) -> ContinuationState:
     """The continuation walk from gamma = 0 to 1 on the grid of ``noise``."""
+    inner_tol = _inner_tol(tol)
     bundle = solve_scaled_fbsde(spec, 0.0, xi0, None, noise, tol=inner_tol,
                                 max_iter=max_iter_inner)
     state = ContinuationState(gamma=0.0, eta=eta0, bundle=bundle)
@@ -220,7 +231,7 @@ def _walk(noise: NoiseBundle, spec: ModelSpec, xi0: InitialLaw, eta0: float, tol
         sweeps: list[int] = []
         # forcing term: with no distance yet the first inner solve runs one sweep
         inner = math.inf
-        for it in range(max_picard):
+        for _ in range(_MAX_PICARD):
             inputs = _coefficient_inputs(spec, iterate, eta)
             try:
                 nxt = solve_scaled_fbsde(spec, state.gamma, xi0, inputs, noise,
@@ -325,16 +336,14 @@ def interval_best_response(spec: ModelSpec, u_hat: np.ndarray, n_lo: int, n_hi: 
                         frozen_flow=hat_ens.flow, u0=u_hat, first_pass=hat_ens, tol=inner_tol)
 
 
-def _interval_fixed_point(spec, u_start, n_lo, n_hi, init_states, terminal, noise,
-                          tol, inner_tol, max_fp_iter):
+def _interval_fixed_point(spec, u_start, n_lo, n_hi, init_states, terminal, noise, tol):
     dt = noise.grid.dt
     horizon = (n_hi - n_lo) * dt
     u = u_start
     distances: list[float] = []
-    bundle = None
-    for _ in range(max_fp_iter):
+    for _ in range(_MAX_FP_ITER):
         bundle = interval_best_response(spec, u, n_lo, n_hi, init_states, terminal, noise,
-                                        inner_tol=inner_tol)
+                                        inner_tol=_inner_tol(tol))
         d = control_rms(bundle.controls - u, dt, horizon)
         distances.append(d)
         u = bundle.controls
@@ -357,45 +366,44 @@ class StitchReport:
 
 
 def solve_stitched(spec: ModelSpec, xi0: InitialLaw, noise: NoiseBundle, *,
-                   tol: float = 1e-4, interval_fraction: float = 0.25,
-                   max_fp_iter: int = 30, max_halvings: int = 5,
-                   global_passes: int = 2) -> tuple[SolutionBundle, StitchReport]:
+                   tol: float = 1e-4, interval_fraction: float = 0.25
+                   ) -> tuple[SolutionBundle, StitchReport]:
     """Backward stitching of interval fixed points through decoupling fields.
 
     The horizon is split into intervals of length at most ``interval_fraction``
-    times the horizon.  A backward pass solves each interval's fixed point
-    (rightmost first, terminal cost gradient at the right end, fitted fields
-    further left) from provisional boundary states; a forward pass re-solves
-    every interval from achieved states and concatenates controls.  Any
-    SolverError in a pass (no contraction, an inner cap, a non-monotone field)
-    or SimulationError halves the interval length and restarts, up to
-    ``max_halvings`` times.  The returned bundle's diagnostics hold its
+    times the horizon.  In each of ``_GLOBAL_PASSES`` passes, a backward pass
+    solves each interval's fixed point (rightmost first, terminal cost
+    gradient at the right end, fitted fields further left) from provisional
+    boundary states; a forward pass re-solves every interval from achieved
+    states and concatenates controls.  Any SolverError in a pass (no
+    contraction, an inner cap, a non-monotone field) or SimulationError halves
+    the interval length and restarts, up to ``_MAX_HALVINGS`` times.  Once
+    every interval is one grid step a halving leaves the partition unchanged,
+    and the deterministic passes would fail the same way again: the solve then
+    raises at once.  The returned bundle's diagnostics hold its
     ``first_order_residual``.
     """
     n = noise.grid.n_steps
-    inner_tol = max(tol / 5.0, 1e-7)
-    frac = interval_fraction
     init_full = noise.initial_states(xi0)
+    tried: list[np.ndarray] = []
     failure = None
 
-    for halving in range(max_halvings + 1):
-        n_intervals = max(1, math.ceil(1.0 / frac))
+    for halving in range(_MAX_HALVINGS + 1):
+        n_intervals = max(1, math.ceil(2.0 ** halving / interval_fraction))
         bounds = np.unique(np.round(np.linspace(0, n, n_intervals + 1)).astype(int))
-        if len(bounds) < 2 or np.any(np.diff(bounds) < 1):
-            raise SolverError("stitching interval shorter than one grid step")
+        if tried and np.array_equal(bounds, tried[-1]):
+            break           # the partition stopped changing: it would fail the same way
+        tried.append(bounds)
         try:
-            return _run_stitch(spec, xi0, noise, bounds, tol, inner_tol, max_fp_iter,
-                               global_passes, init_full, halving)
+            return _run_stitch(spec, xi0, noise, bounds, tol, init_full, halving)
         except (SolverError, SimulationError) as err:
-            frac /= 2.0
             failure = err
-    raise SolverError(f"interval fixed point failed to contract after {max_halvings} halvings; "
+    raise SolverError(f"interval fixed point failed to contract after {len(tried) - 1} halvings; "
                       f"last failure: {failure}",
                       history=getattr(failure, "history", {})) from failure
 
 
-def _run_stitch(spec, xi0, noise, bounds, tol, inner_tol, max_fp_iter, global_passes,
-                init_full, halving):
+def _run_stitch(spec, xi0, noise, bounds, tol, init_full, halving):
     grid = noise.grid
     n = grid.n_steps
     m, k = noise.n_paths, noise.n_particles
@@ -404,23 +412,20 @@ def _run_stitch(spec, xi0, noise, bounds, tol, inner_tol, max_fp_iter, global_pa
     terminal_cost = terminal_from_cost(spec)
     report = StitchReport(boundaries=list(grid.nodes[bounds]), fields=[], interval_ratios=[],
                           halvings=halving)
-    prev_controls = None
 
-    for pass_idx in range(global_passes):
+    for pass_idx in range(_GLOBAL_PASSES):
         prov = simulate_forward(spec, OpenLoopControl(u_full), noise, xi0=xi0,
                                 init_states=init_full)
         # backward pass: fixed points from provisional states, fit boundary fields
         fields: dict[int, Callable[..., np.ndarray]] = {n_int: terminal_cost}
         field_objs: list[DecouplingField] = []
-        ratios = []
         finals_hist: list[float] = []
         for r in range(n_int, 0, -1):
             lo, hi = bounds[r - 1], bounds[r]
             init = prov.states[:, :, lo]
             bundle, distances, ratio = _interval_fixed_point(
-                spec, u_full[:, :, lo:hi], lo, hi, init, fields[r], noise,
-                tol, inner_tol, max_fp_iter)
-            ratios.append(ratio)
+                spec, u_full[:, :, lo:hi], lo, hi, init, fields[r], noise, tol)
+            report.interval_ratios.append(ratio)
             finals_hist.append(distances[-1])
             if pass_idx == 0:
                 report.cold_backward_ratios.append(ratio)
@@ -445,9 +450,8 @@ def _run_stitch(spec, xi0, noise, bounds, tol, inner_tol, max_fp_iter, global_pa
         for r in range(1, n_int + 1):
             lo, hi = bounds[r - 1], bounds[r]
             bundle, distances, ratio = _interval_fixed_point(
-                spec, u_full[:, :, lo:hi], lo, hi, current, fields[r], noise,
-                tol, inner_tol, max_fp_iter)
-            ratios.append(ratio)
+                spec, u_full[:, :, lo:hi], lo, hi, current, fields[r], noise, tol)
+            report.interval_ratios.append(ratio)
             finals_hist.append(distances[-1])
             # node hi is written again, with the same states, by the next interval
             states[:, :, lo:hi + 1] = bundle.states
@@ -458,17 +462,11 @@ def _run_stitch(spec, xi0, noise, bounds, tol, inner_tol, max_fp_iter, global_pa
             current = bundle.states[:, :, -1]
             u_full[:, :, lo:hi] = bundle.controls
 
-        report.interval_ratios.extend(ratios)
-        report.fields = field_objs[::-1]
-        final = SolutionBundle(states=states, controls=controls, p=p, q=q, q_tilde=qt,
-                               flow=MeasureFlow(atoms=states, grid=grid), grid=grid,
-                               residual_history=list(finals_hist))
-        if prev_controls is not None:
-            change = control_rms(controls - prev_controls, grid.dt, grid.horizon)
-            if change <= tol:
-                break
-        prev_controls = controls
-
+    # the last pass's fields and concatenated solution
+    report.fields = field_objs[::-1]
+    final = SolutionBundle(states=states, controls=controls, p=p, q=q, q_tilde=qt,
+                           flow=MeasureFlow(atoms=states, grid=grid), grid=grid,
+                           residual_history=finals_hist)
     final.diagnostics["first_order_residual"] = first_order_residual(spec, final)
     return final, report
 

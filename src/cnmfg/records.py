@@ -7,13 +7,13 @@ entry in ``.npz``, a ``_provenance`` key in JSON.
 
 A configuration is one JSON object laid out as the schema table ``_SCHEMA``:
 top-level keys and the sections ``grid``, ``ensemble``, ``initial_law``,
-``solver``, ``nash`` and ``frozen_flow``, every key with one reader that is
-applied once, at parse time.  A value its reader cannot take is a
-``ConfigError`` naming the key, and so is an unknown key: silently ignored
-tolerance typos are the classic failure of numerical harnesses.  The keys of
-a section named like no ``RunConfig`` field are fields, so an absent key takes
-the field's default.  ``initial_law`` and ``frozen_flow`` are fields holding
-the keys given: a given section replaces the default whole and names its kind.
+``solver`` and ``nash``, every key with one reader that is applied once, at
+parse time.  A value its reader cannot take is a ``ConfigError`` naming the
+key, and so is an unknown key: silently ignored tolerance typos are the
+classic failure of numerical harnesses.  The keys of a section named like no
+``RunConfig`` field are fields, so an absent key takes the field's default.
+``initial_law`` is a field holding the keys given: a given section replaces
+the default whole and names its kind.
 """
 
 from __future__ import annotations
@@ -69,13 +69,12 @@ _SCHEMA = {
     "ensemble": {"n_common": int, "n_particles": int},
     "initial_law": {"kind": _text, "mu": _real, "std": _real,
                     "atoms": lambda v: tuple(_real(a) for a in _list(v))},
-    "solver": {"method": _choice("continuation", "stitched", "given-m", "direct"),
+    "solver": {"method": _choice("continuation", "stitched", "direct"),
                "tol": lambda v: None if v is None else _real(v), "max_iter": int,
-               "eta0": _real, "interval_fraction": _real, "global_passes": int},
+               "eta0": _real, "interval_fraction": _real},
     "seed": int,
     "output_dir": _text,
     "nash": {"player_counts": _ints, "seeds": _ints, "n_replicas": int, "n_copies": int},
-    "frozen_flow": {"kind": _choice("dirac", "zero_control"), "value": _real},
     "oracle_levels": int,
 }
 
@@ -111,14 +110,12 @@ class RunConfig:
     max_iter: int = 60
     eta0: float = 0.25
     interval_fraction: float = 0.25
-    global_passes: int = 2
     seed: int = 42
     output_dir: str = "runs/out"
     player_counts: list = field(default_factory=lambda: [4, 16, 64, 256])
     seeds: list = field(default_factory=lambda: [0, 1, 2, 3, 4])
     n_replicas: int = 24
     n_copies: int = 128
-    frozen_flow: dict = field(default_factory=lambda: {"kind": "dirac", "value": 0.0})
     oracle_levels: int = 3
 
     @classmethod
@@ -147,15 +144,14 @@ class RunConfig:
             raise ConfigError("ensemble sizes must be positive", field="ensemble")
         if self.tol is not None and self.tol <= 0:
             raise ConfigError("tolerance must be positive", field="solver.tol")
-        for name in ("max_iter", "global_passes"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1", field=f"solver.{name}")
         if not 0 < self.eta0 <= 1:
             raise ConfigError("eta0 must lie in (0, 1]", field="solver.eta0")
         if not 0 < self.interval_fraction <= 1:
             raise ConfigError("interval fraction must lie in (0, 1]", field="solver.interval_fraction")
         # seeds key the noise; Nash standard errors (ddof=1) need two replicas and two seeds
         for key, what, value, least in (
+                ("solver.max_iter", "max_iter", self.max_iter, 1),
+                ("oracle_levels", "oracle_levels", self.oracle_levels, 1),
                 ("seed", "the seed", self.seed, 0),
                 ("nash.player_counts", "each player count", min(self.player_counts, default=0), 1),
                 ("nash.seeds", "the number of seeds", len(self.seeds), 2),

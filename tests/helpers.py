@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from cnmfg.measures import MeasureFlow
 from cnmfg.model import CostSpec, LinearCoefficient, ModelSpec
 
 
@@ -44,6 +45,12 @@ def simple_spec(*, b0=0.0, b1=0.0, b2=0.0, s0=0.0, st0=0.0, cu=1.0, cx=0.0,
         L_m=0.0,
         terminal_lipschitz=1.0,
     )
+
+
+def constant_flow(value: float, grid, n_paths: int) -> MeasureFlow:
+    """Flow of Dirac measures at a fixed value (one atom per measure)."""
+    atoms = np.full((n_paths, 1, grid.n_steps + 1), float(value))
+    return MeasureFlow(atoms=atoms, grid=grid)
 
 
 def assert_steps_contiguous(*arrays):

@@ -10,14 +10,14 @@ from cnmfg.bsde import (SolutionBundle, control_rms, first_order_residual, picar
 from cnmfg.errors import SolverError
 from cnmfg.forward_sim import (InitialLaw, NoiseBundle, OpenLoopControl, ParticleEnsemble,
                                TimeGrid, simulate_forward)
-from cnmfg.measures import MeasureFlow, constant_flow
+from cnmfg.measures import MeasureFlow
 from cnmfg.lq_oracle import oracle_solution, solve_riccati
 from cnmfg.model import control_loading, get_preset, hamiltonian_dx
 
 from cnmfg.mfg_solvers import solve_scaled_fbsde, solve_stitched
 from cnmfg.nplayer import FeedbackStrategy, simulate_nplayer
 
-from helpers import assert_steps_contiguous, count_f0u_calls, simple_spec
+from helpers import assert_steps_contiguous, constant_flow, count_f0u_calls, simple_spec
 
 
 def _ensemble(spec, noise, xi0, controls=None):

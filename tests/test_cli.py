@@ -77,12 +77,13 @@ LAW = {"kind": "normal", "mu": 1.0, "std": 0.5}
     ("solve", {"oracle_levels": "x"}, "oracle_levels"),
     ("solve", {"preset_params": [1, 2]}, "preset_params"),
     ("solve", {"preset_params": {"b1": "x"}}, "preset_params"),
-    ("solve", {"solver": {"method": "given-m"}, "frozen_flow": {"kind": "dirac", "value": "x"}},
-     "frozen_flow.value"),
+    # the removed frozen-flow section
+    ("solve", {"frozen_flow": {"kind": "dirac", "value": 0.0}}, "config.frozen_flow"),
     ("nash", {"nash": {"n_replicas": "x"}}, "nash.n_replicas"),
     ("nash", {"nash": {"player_counts": 4}}, "nash.player_counts"),
     ("solve", {"solver": {"method": "direct", "max_iter": 0}}, "solver.max_iter"),
     ("solve", {"solver": {"method": "direct", "max_iter": -1}}, "solver.max_iter"),
+    # a removed key is an unknown key
     ("solve", {"solver": {"method": "stitched", "global_passes": 0}}, "solver.global_passes"),
     # values that leave a Nash estimate empty or its standard errors undefined
     ("nash", {"nash": {"player_counts": []}}, "nash.player_counts"),
@@ -101,6 +102,12 @@ LAW = {"kind": "normal", "mu": 1.0, "std": 0.5}
     ("solve", {"solver": {"method": "direct", "tol": float("nan")}}, "solver.tol"),
     ("solve", {"initial_law": dict(LAW, mu=float("-inf"))}, "initial_law.mu"),
     ("solve", {"preset_params": {"b1": float("nan")}}, "preset_params"),
+    # the removed frozen-flow method
+    ("solve", {"solver": {"method": "given-m"}}, "solver.method"),
+    # refinement levels: at least one, and the coarsest keeps a step and a particle
+    ("solve", {"oracle_levels": -3}, "oracle_levels"),
+    ("compare-oracle", {"grid": {"horizon": 1.0, "n_steps": 8}, "oracle_levels": 5},
+     "oracle_levels"),
 ])
 def test_malformed_values_are_config_errors(tmp_path, capsys, command, overrides, field):
     path = write_config(tmp_path / "cfg.json", **overrides)
@@ -234,11 +241,10 @@ def test_resume_rejects_a_bad_archive(tmp_path, capsys, case):
 
 
 def test_solver_methods_run(tmp_path):
-    for method, extra in (("continuation", {}), ("stitched", {}),
-                          ("given-m", {"frozen_flow": {"kind": "dirac", "value": 0.0}})):
+    for method in ("continuation", "stitched"):
         path = write_config(tmp_path / f"{method}.json",
                             solver={"method": method, "tol": 2e-3},
-                            output_dir=str(tmp_path / method), **extra)
+                            output_dir=str(tmp_path / method))
         assert main(["solve", "--config", str(path)]) == 0
         # continuation walks the 20-step grid on 1 step, and the coarse
         # attempt holds; the report says so

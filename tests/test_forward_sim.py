@@ -7,10 +7,10 @@ from cnmfg import forward_sim
 from cnmfg.errors import SimulationError
 from cnmfg.forward_sim import (FeedbackControl, InitialLaw, NoiseBundle, OpenLoopControl,
                                TimeGrid, simulate_forward)
-from cnmfg.measures import EmpiricalMeasure, MeasureFlow, constant_flow
+from cnmfg.measures import EmpiricalMeasure, MeasureFlow
 from cnmfg.model import get_preset, hamiltonian_dx
 
-from helpers import assert_steps_contiguous, simple_spec
+from helpers import assert_steps_contiguous, constant_flow, simple_spec
 
 
 def test_grid_basics():

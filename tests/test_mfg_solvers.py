@@ -166,9 +166,9 @@ def test_continuation_walks_a_one_step_grid_on_its_own_step(monkeypatch):
     assert bundle is state.bundle and state.coarse_failure is None
 
 
-def _fine_walk(noise, spec, *, tol, max_picard=30):
+def _fine_walk(noise, spec, *, tol):
     """The walk on the grid of ``noise`` with ``solve_continuation``'s defaults."""
-    return mfg_solvers._walk(noise, spec, XI0, 0.25, tol, max_picard, max(tol / 5.0, 1e-7), 60)
+    return mfg_solvers._walk(noise, spec, XI0, 0.25, tol, 60)
 
 
 def test_continuation_falls_back_to_the_fine_walk():
@@ -186,14 +186,15 @@ def test_continuation_falls_back_to_the_fine_walk():
     assert state.schedule() == fine_state.schedule()
 
 
-def test_a_failed_fallback_raises_the_fine_walks_error():
+def test_a_failed_fallback_raises_the_fine_walks_error(monkeypatch):
     # both walks stall; the error is the fine walk's, and it names the coarse failure
+    monkeypatch.setattr(mfg_solvers, "_MAX_PICARD", 1)
     preset = get_preset("lq")
     noise = small_noise(m=6, k=16, n=10)
     with pytest.raises(SolverError, match="continuation stalled") as err:
-        solve_continuation(preset.spec, XI0, noise, tol=1e-10, max_picard=1)
+        solve_continuation(preset.spec, XI0, noise, tol=1e-10)
     with pytest.raises(SolverError) as fine:
-        _fine_walk(noise, preset.spec, tol=1e-10, max_picard=1)
+        _fine_walk(noise, preset.spec, tol=1e-10)
     assert str(err.value) == str(fine.value)
     history = dict(err.value.history)
     assert history.pop("coarse_failure").startswith("continuation stalled")
@@ -334,12 +335,12 @@ def test_decoupling_field_fit_and_terminal():
         DecouplingField(intercept=np.nan, slope_x=1.0, slope_mean=0.0, r_squared=1.0)
 
 
-def test_stitched_single_interval_equals_direct_fixed_point():
+def test_stitched_single_interval_equals_direct_fixed_point(monkeypatch):
+    monkeypatch.setattr(mfg_solvers, "_GLOBAL_PASSES", 1)
     preset = get_preset("lq")
     noise = small_noise(m=8, k=32, n=20)
     tol = 1.5e-3  # resolution floor of the 8 x 32 ensemble's regression map
-    bundle, report = solve_stitched(preset.spec, XI0, noise, tol=tol, interval_fraction=1.0,
-                                    global_passes=1)
+    bundle, report = solve_stitched(preset.spec, XI0, noise, tol=tol, interval_fraction=1.0)
     assert len(report.boundaries) == 2
 
     init = noise.initial_states(XI0)
@@ -407,20 +408,48 @@ def test_gamma_validation():
         solve_scaled_fbsde(preset.spec, 1.5, XI0, None, noise)
 
 
-def test_continuation_stall_error():
+def test_continuation_stall_error(monkeypatch):
     # a single contraction iteration per stage can never converge, so the step
     # size halves until it underflows
+    monkeypatch.setattr(mfg_solvers, "_MAX_PICARD", 1)
     preset = get_preset("lq")
     noise = small_noise(m=6, k=16, n=10)
     with pytest.raises(SolverError, match="continuation stalled"):
-        solve_continuation(preset.spec, XI0, noise, tol=1e-10, max_picard=1)
+        solve_continuation(preset.spec, XI0, noise, tol=1e-10)
 
 
-def test_stitching_halving_exhaustion_error():
+def test_stitching_halving_exhaustion_error(monkeypatch):
+    monkeypatch.setattr(mfg_solvers, "_MAX_FP_ITER", 1)
+    monkeypatch.setattr(mfg_solvers, "_MAX_HALVINGS", 2)
     preset = get_preset("lq")
     noise = small_noise(m=6, k=16, n=16)
     with pytest.raises(SolverError, match="failed to contract"):
-        solve_stitched(preset.spec, XI0, noise, tol=1e-12, max_fp_iter=1, max_halvings=2)
+        solve_stitched(preset.spec, XI0, noise, tol=1e-12)
+
+
+def test_stitching_stops_once_the_partition_stops_changing(monkeypatch):
+    # on 16 steps the halvings give 4, 8, 16, 16, 16 and 16 intervals; a
+    # repeated partition would fail the same way, so three are attempted and
+    # the error carries the 16-interval failure
+    monkeypatch.setattr(mfg_solvers, "_MAX_FP_ITER", 1)
+    run_stitch = mfg_solvers._run_stitch
+    attempts = []
+
+    def recorded(spec, xi0, noise, bounds, *args):
+        try:
+            return run_stitch(spec, xi0, noise, bounds, *args)
+        except SolverError as err:
+            attempts.append((len(bounds) - 1, err))
+            raise
+
+    monkeypatch.setattr(mfg_solvers, "_run_stitch", recorded)
+    preset = get_preset("lq")
+    noise = small_noise(m=6, k=16, n=16)
+    with pytest.raises(SolverError, match="after 2 halvings") as err:
+        solve_stitched(preset.spec, XI0, noise, tol=1e-12)
+    assert [n_int for n_int, _ in attempts] == [4, 8, 16]
+    assert err.value.__cause__ is attempts[-1][1]
+    assert err.value.history == attempts[-1][1].history
 
 
 def test_continuation_inner_failure_halves_eta():
@@ -487,7 +516,8 @@ def test_stitched_recovers_from_a_simulation_error(monkeypatch):
 
     # a failure on every pass ends in a SolverError with no history to carry
     _failing_picard(monkeypatch, SimulationError("non-finite state"), lambda gamma, n: True)
+    monkeypatch.setattr(mfg_solvers, "_MAX_HALVINGS", 1)
     with pytest.raises(SolverError, match="after 1 halvings") as err:
-        solve_stitched(preset.spec, XI0, noise, tol=1e-3, max_halvings=1)
+        solve_stitched(preset.spec, XI0, noise, tol=1e-3)
     assert isinstance(err.value.__cause__, SimulationError)
     assert err.value.history == {}

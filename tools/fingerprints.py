@@ -6,9 +6,13 @@ Imports the package from ``TREE/src`` and ``TREE/bench/workloads.py`` (read
 only, no bytecode written) and runs each workload's first instance at each
 seed through set-up, operation and check, as ``bench/run.py`` does.  It
 prints one JSON object: per seed and workload, ``Outcome.fingerprint``, the
-check's problems and, for the library workloads, the sha256 (first 16 hex
-digits) of the returned p, q and q_tilde.  Run it once per tree, each in its
-own process, and compare the outputs.
+check's problems and the sha256 (first 16 hex digits) of the solution
+arrays: for the library workloads the returned p, q and q_tilde, for the CLI
+``solve`` workloads every array of ``solution.npz`` but its provenance.  A
+CLI fingerprint reads ``report.json`` whole, its ``config`` section included,
+so two trees whose configs differ differ there even when their solutions are
+equal; the array hashes tell the two apart.  Run it once per tree, each in
+its own process, and compare the outputs.
 """
 
 from __future__ import annotations
@@ -42,6 +46,12 @@ def _sha(array) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
 
 
+def _npz_shas(path: Path) -> dict:
+    import numpy as np
+    with np.load(path) as archive:
+        return {key: _sha(archive[key]) for key in archive.files if key != "provenance"}
+
+
 def fingerprints(tree: Path, seeds: list[int]) -> dict:
     workloads = _load_workloads(tree)
     out = {}
@@ -51,9 +61,13 @@ def fingerprints(tree: Path, seeds: list[int]) -> dict:
             with tempfile.TemporaryDirectory() as tmp:
                 result = workload.operation(inputs, Path(tmp) / name)
                 outcome = workload.check(inputs, result)
+                solution = Path(tmp) / name / "solution.npz"
+                arrays = _npz_shas(solution) if solution.exists() else None
             entry = {"fingerprint": outcome.fingerprint, "problems": outcome.problems}
             if hasattr(result, "q_tilde"):
                 entry.update(p=_sha(result.p), q=_sha(result.q), q_tilde=_sha(result.q_tilde))
+            if arrays is not None:
+                entry["solution.npz"] = arrays
             out[f"{name}:seed{seed}"] = entry
     return out
 
