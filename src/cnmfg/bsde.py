@@ -25,7 +25,8 @@ are written.  Per step, the recursion rebuilds the basis as one (path, basis,
 particle) block from the stored moments and writes p, q and q_tilde.  Only
 sigma1, sigma2, sigma_tilde1 and sigma_tilde2 read q and q_tilde: where all are
 0, a coupled solve's passes keep each step's moments, Gram inverses and fit
-coefficients instead, and only the returned sweep's loadings are filled.  The
+coefficients instead, and form no fit residual, so no R^2 either; only the
+returned sweep's loadings and R^2 are filled.  The
 cross-path design reads only flow, noise and the z2 gates, so two batched
 solves build it for all steps up front, and a coupled solve on a frozen flow
 builds it only once.  The loop reduces with einsum and ufuncs: a long BLAS dot
@@ -256,14 +257,29 @@ def _fit(basis: np.ndarray, gram_inv: np.ndarray, values: np.ndarray) -> np.ndar
     return np.einsum("jab,jb->ja", gram_inv, np.einsum("jbk,jk->jb", basis, values))
 
 
-def _step_fit(basis, gram_inv, coef, y, dw, dt, fit_map, mb, out=None):
-    """A step's fit residual and cross-path slopes; with ``out``, writes its (q, q_tilde)."""
+def _step_fit(basis, gram_inv, coef, y, dw, dt, sol, mb, out) -> float:
+    """Write a step's (q, q_tilde) to ``out``; returns its mean squared fit residual.
+
+    ``coef`` is the per-path fit of ``y`` on the basis, ``sol`` its cross-path slopes.
+    """
     resid = y - np.einsum("jbk,jb->jk", basis, coef)
-    sol = fit_map @ coef
-    if out is not None:
-        np.einsum("jbk,jb->jk", basis, _fit(basis, gram_inv, resid * dw) / dt, out=out[0])
-        np.einsum("jbk,jb->jk", basis, sol[2] + mb[:, None] * sol[3], out=out[1])
-    return resid, sol
+    np.einsum("jbk,jb->jk", basis, _fit(basis, gram_inv, resid * dw) / dt, out=out[0])
+    np.einsum("jbk,jb->jk", basis, sol[2] + mb[:, None] * sol[3], out=out[1])
+    return np.einsum("jk,jk->", resid, resid) / resid.size
+
+
+def _step_blocks(span: int, m: int, k: int) -> list[tuple[int, int]]:
+    """The blocks [lo, hi) of steps whose geometry is built at once, last first."""
+    width = max(1, _GEOMETRY_BLOCK // (m * k))
+    return [(max(0, hi - width), hi) for hi in range(span, 0, -width)]
+
+
+def _r_squared(r2: np.ndarray, p: np.ndarray, lo: int, hi: int) -> None:
+    """Turn the mean squared residuals ``r2[lo:hi]`` into R^2 over the variances of p[lo + 1:hi + 1]."""
+    m, k, _ = p.shape
+    var_y = p.transpose(2, 0, 1)[lo + 1:hi + 1].reshape(hi - lo, m * k).var(axis=1)
+    fitted = var_y > 1e-300
+    r2[lo:hi] = 1.0 - fitted * r2[lo:hi] / np.where(fitted, var_y, 1.0)
 
 
 def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: MeasureFlow,
@@ -275,8 +291,9 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
 
     ``design`` is the cross-path design with its maps, as ``_cross_path_design``
     builds it on this flow and noise; without it one is built with fresh gates.
-    With ``loadings`` False no q or q_tilde is computed: both are read-only NaN
-    placeholders, and ``fits`` keeps what ``_fill_loadings`` needs to write them.
+    With ``loadings`` False no q, q_tilde or R^2 is computed: q and q_tilde are
+    read-only NaN placeholders, ``diagnostics["r_squared"]`` a read-only 0, and
+    ``fits`` keeps what ``_fill_loadings`` needs to write all three.
     """
     grid = noise.grid
     if flow.grid != grid or ensemble.grid != grid:
@@ -289,12 +306,11 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
     nodes = grid.nodes
     design, fit_maps = _cross_path_design(spec, flow, noise, {}) if design is None else design
 
-    # the steps run in blocks of ``width``, last first; each block's geometry is
-    # built before its recursion, the first one before the adjoint arrays exist
-    width = max(1, _GEOMETRY_BLOCK // (m * k))
-    lo, hi = max(0, span - width), span
+    # each block's geometry is built before its recursion, the first one before
+    # the adjoint arrays exist
+    blocks = _step_blocks(span, m, k)
     ridge = (1e-9 * k) * np.eye(3)
-    geometry = _regression_geometry(states, lo, hi, ridge)
+    geometry = _regression_geometry(states, *blocks[0], ridge)
 
     p = particle_array(m, k, span + 1)
     q = particle_array(m, k, span) if loadings else np.broadcast_to(np.nan, (m, k, span))
@@ -306,11 +322,11 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
     p[:, :, span] = terminal_values
 
     basis = np.ones((m, 3, k))          # rows [1, z, z^2] of each path
-    r2 = np.empty(span)
+    r2 = np.empty(span) if loadings else np.broadcast_to(0.0, (span,))
     warnings = [] if m >= 4 else ["common-noise loading set to zero: fewer than 4 common paths"]
     degenerate_steps = 0
 
-    while hi > 0:
+    for b, (lo, hi) in enumerate(blocks):
         mu, sd, flat, gram_invs = geometry
         degenerate_steps += int(np.count_nonzero(flat))
         for n in range(hi - 1, lo - 1, -1):
@@ -328,9 +344,11 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
             # the per-path fit coefficients.  The common-increment slope is the
             # common-noise loading; the full factor part is subtracted from the
             # fit to undo its anticipative conditioning on the realized increments.
-            resid, sol = _step_fit(basis, gram_invs[n - lo], coef, y, noise.dW[:, :, n], dt,
-                                   fit_maps[n], design[n, :, 1],
-                                   (q[:, :, n], qt[:, :, n]) if loadings else None)
+            # Only a pass with loadings forms the fit residual, for q and R^2.
+            sol = fit_maps[n] @ coef
+            if loadings:
+                r2[n] = _step_fit(basis, gram_invs[n - lo], coef, y, noise.dW[:, :, n], dt, sol,
+                                  design[n, :, 1], (q[:, :, n], qt[:, :, n]))
             p_n = np.einsum("jbk,jb->jk", basis, coef - design[n, :, 2:] @ sol[2:],
                             out=p[:, :, n])
 
@@ -340,16 +358,12 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
             if inputs is not None:
                 p_n += dt * inputs.f[:, :, n]
             p_n /= 1.0 - gamma * spec.drift.phi1(t) * dt
-            r2[n] = np.einsum("jk,jk->", resid, resid) / (m * k)
 
-        # r2 holds each step's mean squared residual; R^2 divides it by the
-        # variance of the fitted slice p[n + 1], now written for the whole block
-        var_y = p.transpose(2, 0, 1)[lo + 1:hi + 1].reshape(hi - lo, m * k).var(axis=1)
-        fitted = var_y > 1e-300
-        r2[lo:hi] = 1.0 - fitted * r2[lo:hi] / np.where(fitted, var_y, 1.0)
-        lo, hi = max(0, lo - width), lo
-        if hi > 0:
-            geometry = _regression_geometry(states, lo, hi, ridge)
+        # the fitted slices p[n + 1] are now written for the whole block
+        if loadings:
+            _r_squared(r2, p, lo, hi)
+        if b + 1 < len(blocks):
+            geometry = _regression_geometry(states, *blocks[b + 1], ridge)
 
     if degenerate_steps:
         warnings.append(f"regression fell back to intercept-only basis on {degenerate_steps} steps")
@@ -358,14 +372,20 @@ def solve_bsde_given_control(spec: ModelSpec, ensemble: ParticleEnsemble, flow: 
 
 
 def _fill_loadings(back: BackwardSolution, states: np.ndarray, noise: NoiseBundle, design) -> None:
-    """Write the loadings of a pass run without them on ``states``, ``noise`` and ``design``."""
+    """Write the loadings and R^2 of a pass run without them on ``states``, ``noise`` and ``design``."""
     m, k, span = back.q.shape
     back.q, back.q_tilde = particle_array(m, k, span), particle_array(m, k, span)
+    r2 = np.empty(span)
     basis = np.ones((m, 3, k))
     for n, (mu, sd, flat, gram_inv, coef) in back.fits.items():
         _standardize(basis, states[:, :, n], mu, sd, flat)
-        _step_fit(basis, gram_inv, coef, back.p[:, :, n + 1], noise.dW[:, :, n], back.grid.dt,
-                  design[1][n], design[0][n, :, 1], (back.q[:, :, n], back.q_tilde[:, :, n]))
+        r2[n] = _step_fit(basis, gram_inv, coef, back.p[:, :, n + 1], noise.dW[:, :, n],
+                          back.grid.dt, design[1][n] @ coef, design[0][n, :, 1],
+                          (back.q[:, :, n], back.q_tilde[:, :, n]))
+    # per geometry block, as inline: no temporary spans the whole pass
+    for lo, hi in _step_blocks(span, m, k):
+        _r_squared(r2, back.p, lo, hi)
+    back.diagnostics["r_squared"] = r2
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +445,9 @@ def picard_solve(spec: ModelSpec, noise: NoiseBundle, terminal: Callable[..., np
     halves, to a floor of ``_MIN_DAMPING``, on each rise that follows a
     damped step.  Convergence is measured on the residual, so damping cannot
     fake progress.  With sigma1, sigma2, sigma_tilde1 and sigma_tilde2 0 at every
-    step, only the returned sweep fills q and q_tilde, after the history is freed.
+    step, only the returned sweep fills q and q_tilde, after the history is freed,
+    and forms the fit residuals and variances of its R^2
+    (``diagnostics["r_squared"]``); the passes before it form none.
 
     Raises SolverError with the residual history on a non-finite residual
     and on the iteration cap.  On a live flow a divergence guard also runs:

@@ -603,6 +603,43 @@ def test_deferred_loadings_equal_inline_ones_in_a_continuation_solve(monkeypatch
             == inline.diagnostics["first_order_residual"])
 
 
+@pytest.mark.parametrize("steps, blocks", [
+    (1, [(n, n + 1) for n in range(9, -1, -1)]),
+    (3, [(7, 10), (4, 7), (1, 4), (0, 1)]),
+])
+def test_deferred_r_squared_equals_inline_one_in_blocks_of_steps(monkeypatch, steps, blocks):
+    # geometry blocks of one step, and of three steps with a partial last block
+    spec = get_preset("lq").spec
+    noise = NoiseBundle(seed=5, n_paths=8, n_particles=32, grid=TimeGrid(1.0, 10))
+    xi0 = InitialLaw(kind="normal", mu=1.0, std=0.5)
+    monkeypatch.setattr(bsde, "_GEOMETRY_BLOCK", steps * 8 * 32)
+    assert bsde._step_blocks(10, 8, 32) == blocks
+    deferred, inline = _deferred_and_inline(
+        monkeypatch, lambda: picard_solve(spec, noise, terminal_from_cost(spec), xi0=xi0,
+                                          tol=1e-4))
+    _assert_same_solution(deferred, inline)
+    r2 = deferred.diagnostics["r_squared"]
+    assert r2.flags.writeable and np.all((r2 > 0.0) & (r2 <= 1.0))
+
+
+def test_a_converged_solve_forms_the_fit_residual_on_one_sweep_only(monkeypatch):
+    spec = get_preset("lq").spec
+    noise = NoiseBundle(seed=5, n_paths=8, n_particles=32, grid=TimeGrid(1.0, 10))
+    formed = []
+    real = bsde._step_fit
+
+    def counting(*args):
+        formed.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(bsde, "_step_fit", counting)
+    bundle = picard_solve(spec, noise, terminal_from_cost(spec),
+                          xi0=InitialLaw(kind="normal", mu=1.0, std=0.5), tol=1e-4)
+    assert len(bundle.residual_history) >= 3
+    # the fill of the returned sweep forms the residual of each of the 10 steps
+    assert len(formed) == 10
+
+
 def test_control_dependent_volatilities_compute_loadings_on_every_sweep(monkeypatch):
     spec = get_preset("lq_small_bu").spec
     assert spec.vol.phi2(0.0) == spec.vol_common.phi2(0.0) == 0.005
@@ -625,6 +662,10 @@ def test_a_pass_without_loadings_returns_nan_placeholders():
     for placeholder in (back.q, back.q_tilde):
         assert placeholder.shape == with_q.q.shape and not placeholder.flags.writeable
         assert np.all(np.isnan(placeholder))
+    # R^2 is a finite placeholder: a tracer takes its minimum
+    r2 = back.diagnostics["r_squared"]
+    assert r2.shape == with_q.diagnostics["r_squared"].shape and not r2.flags.writeable
+    assert np.all(np.isfinite(r2))
 
 
 def test_control_loading_leaves_out_a_zero_volatility_slope():

@@ -7,12 +7,13 @@ only, no bytecode written) and runs each workload's first instance at each
 seed through set-up, operation and check, as ``bench/run.py`` does.  It
 prints one JSON object: per seed and workload, ``Outcome.fingerprint``, the
 check's problems and the sha256 (first 16 hex digits) of the solution
-arrays: for the library workloads the returned p, q and q_tilde, for the CLI
-``solve`` workloads every array of ``solution.npz`` but its provenance.  A
-CLI fingerprint reads ``report.json`` whole, its ``config`` section included,
-so two trees whose configs differ differ there even when their solutions are
-equal; the array hashes tell the two apart.  Run it once per tree, each in
-its own process, and compare the outputs.
+arrays: for the library workloads the returned p, q, q_tilde and
+``diagnostics["r_squared"]``, for the CLI ``solve`` workloads every array of
+``solution.npz`` but its provenance.  A CLI fingerprint reads ``report.json``
+whole, its ``config`` section included, so two trees whose configs differ
+differ there even when their solutions are equal; the array hashes tell the
+two apart.  Run it once per tree, each in its own process, and compare the
+outputs.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ def fingerprints(tree: Path, seeds: list[int]) -> dict:
                 arrays = _npz_shas(solution) if solution.exists() else None
             entry = {"fingerprint": outcome.fingerprint, "problems": outcome.problems}
             if hasattr(result, "q_tilde"):
-                entry.update(p=_sha(result.p), q=_sha(result.q), q_tilde=_sha(result.q_tilde))
+                entry.update(p=_sha(result.p), q=_sha(result.q), q_tilde=_sha(result.q_tilde),
+                             r_squared=_sha(result.diagnostics["r_squared"]))
             if arrays is not None:
                 entry["solution.npz"] = arrays
             out[f"{name}:seed{seed}"] = entry
